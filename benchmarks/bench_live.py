@@ -17,9 +17,8 @@ crash-restart row measuring catch-up sync and *time to rejoin* (recovery
 to first post-recovery commit — the resilience layer's headline number);
 and raw codec rates including the batched-vs-unbatched framing
 comparison.  A ``hot_path`` section carries before/after cells for the
-three hot-path fronts (optimistic responsiveness, batched share
-verification, zero-copy codec) so each knob's effect is tracked
-individually next to the combined setting.  Because
+two hot-path fronts (optimistic responsiveness, zero-copy codec) so each
+one's effect is tracked on its own.  Because
 the ``clusters`` cells preload their workload at time zero, their
 per-request timing is reported as *time to commit* since cluster start,
 not client service latency.
@@ -185,17 +184,11 @@ CODEC_BEFORE = {
 
 
 def bench_hot_path(duration: float, procs: int) -> dict:
-    """Before/after cells for the three hot-path fronts.
+    """Before/after cell for optimistic responsiveness.
 
-    All cluster cells run iniva/bls — the hardware-bound configuration
+    Both cluster cells run iniva/bls — the hardware-bound configuration
     where signature verification dominates — with the same spec except for
-    the knob under test.  ``before`` (every knob off) is shared by the
-    optimistic-responsiveness and batched-verification fronts; ``combined``
-    is the recommended production setting (both knobs on).  The
-    verification-offload knob is benchmarked too but *not* part of
-    ``combined``: under a GIL-bound pure-Python scheme the worker-pool
-    round-trip sits on the critical path of sequential views, so it buys
-    event-loop responsiveness at a small throughput cost.
+    the knob under test.
 
     Like the WAN and recovery cells, these windows have a floor (2.5 s)
     even under ``--quick``: the hardware-bound cells ramp as the scheme's
@@ -213,29 +206,11 @@ def bench_hot_path(duration: float, procs: int) -> dict:
             label=f"iniva/bls n=4 {label}",
         )
 
-    before = cell("knobs=off")
     return {
         "optimistic_responsiveness": {
-            "before": before,
+            "before": cell("knobs=off"),
             "after": cell("optimistic", optimistic_responsiveness=True),
         },
-        "batched_verification": {
-            "before": before,
-            "after": cell("batch-verify", batch_verification=True),
-        },
-        "verification_offload": {
-            "before": before,
-            "after": cell(
-                "batch-verify+offload",
-                batch_verification=True,
-                verification_offload=True,
-            ),
-        },
-        "combined": cell(
-            "optimistic+batch-verify",
-            optimistic_responsiveness=True,
-            batch_verification=True,
-        ),
     }
 
 

@@ -9,7 +9,7 @@ Run as a script (not collected by pytest — the tier-1 suite lives in
 the sweep so the tracker finishes in seconds.
 
 Measures ops-per-second for the signature hot paths (sign, verify_share,
-verify_batch, aggregate) on the ``bls`` backend (toy and full 512-bit
+aggregate) on the ``bls`` backend (toy and full 512-bit
 parameters) and the ``hashsig`` fast-simulation backend, plus the wall
 time of a full ``scalability`` sweep at n = 201 with the ``hashsig``
 backend.  The ``seed_reference`` block records the same measurements
@@ -49,9 +49,8 @@ def _time_op(fn, reps: int) -> float:
     return statistics.median(samples)
 
 
-def bench_scheme(scheme, label: str, reps: int, batch: int = 8) -> dict:
+def bench_scheme(scheme, label: str, reps: int) -> dict:
     pairs = {pid: scheme.keygen(1000 + pid) for pid in range(32)}
-    public = {pid: pair.public_key for pid, pair in pairs.items()}
     message = b"bench-perf|block|1|1"
     shares = [scheme.sign(pair.secret_key, message, pid) for pid, pair in pairs.items()]
 
@@ -81,8 +80,6 @@ def bench_scheme(scheme, label: str, reps: int, batch: int = 8) -> dict:
     else:
         verify_share_s = _time_op(verify_fresh, reps)
 
-    batch_shares = shares[:batch]
-    batch_s = _time_op(lambda: scheme.verify_batch(batch_shares, message, public), max(1, reps // 4))
     aggregate_s = _time_op(lambda: scheme.aggregate([(s, 2) for s in shares]), reps)
     return {
         "label": label,
@@ -90,8 +87,6 @@ def bench_scheme(scheme, label: str, reps: int, batch: int = 8) -> dict:
         "sign_ops_per_sec": round(1.0 / sign_s, 1),
         "verify_share_ms": round(verify_share_s * 1000, 4),
         "verify_share_ops_per_sec": round(1.0 / verify_share_s, 1),
-        f"verify_batch_{batch}_ms": round(batch_s * 1000, 4),
-        f"verify_batch_{batch}_per_share_ms": round(batch_s * 1000 / batch, 4),
         "aggregate_32x2_ms": round(aggregate_s * 1000, 4),
         "aggregate_ops_per_sec": round(1.0 / aggregate_s, 1),
     }

@@ -96,63 +96,6 @@ class Aggregator(ABC):
         if tracer is not None and tracer.sample_view(view):  # type: ignore[attr-defined]
             tracer.emit(etype, self.process_id, self.replica.now, view=view, **fields)  # type: ignore[attr-defined]
 
-    def _verify_shares(self, shares, payload: bytes, on_result) -> None:
-        """Verify ``shares`` as one batched check; deliver the valid subset.
-
-        The hot-path alternative to per-share ``verify_share`` calls: one
-        ``verify_batch`` covers every pending share (under ``bls`` that is
-        the RLC check — ~2 pairings however many shares), and only if the
-        batch fails does it fall back to per-share verification so the
-        invalid shares are rejected individually.  With
-        ``config.verification_offload`` the check runs through
-        :meth:`~repro.runtime.base.Runtime.offload` (a worker pool under
-        the live runtime, inline under sim) and ``on_result(valid_shares)``
-        fires when it completes; otherwise everything happens synchronously
-        before this returns.  Callbacks must therefore re-check collection
-        state ("done", "sent_up", ...) — the world may have moved on.
-        """
-        shares = list(shares)
-        self.replica.consume_cpu(self.config.cpu_model.batch_verify_cost(len(shares)))
-        committee = self.committee
-
-        def check() -> list:
-            if committee.verify_batch(shares, payload):
-                return shares
-            return [share for share in shares if committee.verify_share(share, payload)]
-
-        if self.config.verification_offload:
-            self.replica.runtime.offload(check, on_result)
-        else:
-            on_result(check())
-
-    def _verify_contributions(self, items, payload: bytes, on_result) -> None:
-        """Batched variant of :meth:`_verify_shares` for mixed contributions.
-
-        ``items`` is a list of ``(sender, contribution)`` pairs where each
-        contribution is a share or an aggregate; ``on_result`` receives the
-        valid subset (same pairs).  One RLC equation covers the whole bag —
-        at the tree root that folds a quorum's direct shares *and* internal
-        aggregates into ~2 pairings.  Offload and re-entrancy caveats are
-        identical to :meth:`_verify_shares`.
-        """
-        items = list(items)
-        self.replica.consume_cpu(self.config.cpu_model.batch_verify_cost(len(items)))
-        committee = self.committee
-
-        def check() -> list:
-            if committee.verify_contributions([sig for _, sig in items], payload):
-                return items
-            return [
-                (sender, sig)
-                for sender, sig in items
-                if committee.verify_contributions([sig], payload)
-            ]
-
-        if self.config.verification_offload:
-            self.replica.runtime.offload(check, on_result)
-        else:
-            on_result(check())
-
     def _finalise(self, block: Block, aggregate: AggregateSignature) -> None:
         """Deliver the finished aggregate to the consensus layer once."""
         state = self._state.get(block.block_id)

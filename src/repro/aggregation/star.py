@@ -73,62 +73,10 @@ class StarAggregator(Aggregator):
         self._trace_hot(
             "share_recv", block.view, block=block.block_id[:12], src=sender, role="collector"
         )
-        if self.config.batch_verification:
-            # Deferred ingest: stash the share unverified and run one
-            # batched check over the whole pending set once it can reach a
-            # quorum (RLC verify_batch: ~2 pairings however many shares).
-            state = self._collection(block.block_id)
-            state["unverified"][share.signer] = share
-            self._maybe_flush(block)
-            return
         self.replica.consume_cpu(self.config.cpu_model.verify_share)
         if not self.committee.verify_share(share, block.signing_payload()):
             return
         self._record_share(block, share)
-
-    # -- batched verification ----------------------------------------------------
-    def _maybe_flush(self, block: Block) -> None:
-        """Run the batched check once the pending set can complete a quorum."""
-        state = self._collection(block.block_id)
-        if state["done"] or state["verify_inflight"] or not state["unverified"]:
-            return
-        total = len(state["shares"]) + len(state["unverified"])
-        if total >= self.config.committee_size:
-            self._flush_unverified(block)
-        elif total >= self.config.quorum_size and not self.config.wait_for_all_votes:
-            self._flush_unverified(block)
-
-    def _flush_unverified(self, block: Block, finalise_after: bool = False) -> None:
-        state = self._collection(block.block_id)
-        if state["done"]:
-            return
-        if finalise_after:
-            state["finalise_after_flush"] = True
-        if state["verify_inflight"]:
-            return
-        pending, state["unverified"] = state["unverified"], {}
-        if not pending:
-            if state["finalise_after_flush"]:
-                state["finalise_after_flush"] = False
-                self._finalise_now(block)
-            return
-        state["verify_inflight"] = True
-
-        def on_result(valid: list) -> None:
-            state["verify_inflight"] = False
-            if state["done"]:
-                return
-            for share in valid:
-                self._record_share(block, share)
-                if state["done"]:
-                    return
-            if state["unverified"]:
-                self._maybe_flush(block)
-            if state["finalise_after_flush"] and not state["verify_inflight"]:
-                state["finalise_after_flush"] = False
-                self._finalise_now(block)
-
-        self._verify_shares(list(pending.values()), block.signing_payload(), on_result)
 
     # -- collection state ----------------------------------------------------------
     def _collection(self, block_id: str) -> Dict[str, Any]:
@@ -139,9 +87,6 @@ class StarAggregator(Aggregator):
                 "pending": [],
                 "done": False,
                 "deadline_set": False,
-                "unverified": {},
-                "verify_inflight": False,
-                "finalise_after_flush": False,
             }
             self._state[block_id] = state
             self._prune()
@@ -180,11 +125,6 @@ class StarAggregator(Aggregator):
     def _finalise_now(self, block: Block) -> None:
         state = self._collection(block.block_id)
         if state["done"]:
-            return
-        if self.config.batch_verification and (state["unverified"] or state["verify_inflight"]):
-            # A deadline (wait_for_all_votes ablation) arrived with shares
-            # still unverified: batch-check them first, then finalise.
-            self._flush_unverified(block, finalise_after=True)
             return
         if len(state["shares"]) < self.config.quorum_size:
             return

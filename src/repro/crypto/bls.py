@@ -22,9 +22,9 @@ equivalent to Diffie-Hellman by Coron and Naccache (paper reference [33]).
 Performance notes: message hashing is memoised module-wide in
 :func:`repro.crypto.curve.hash_to_point`; pairing evaluations are memoised
 per scheme instance (a replica re-verifying the share another replica
-already checked pays a dict lookup, not two Miller loops); and
-:meth:`BlsMultiSig.verify_batch` checks ``k`` shares on one message with a
-random-linear-combination equation costing two pairings instead of ``2k``.
+already checked pays a dict lookup, not two Miller loops); and verified
+aggregates are memoised too, so a QC every replica re-checks costs its
+two pairings once.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
-from repro.crypto.curve import Point, generator, hash_to_point, multi_scalar_mult
+from repro.crypto.curve import Point, generator, hash_to_point
 from repro.crypto.field import Fp2
 from repro.crypto.keys import KeyPair
 from repro.crypto.multisig import (
@@ -44,7 +44,7 @@ from repro.crypto.multisig import (
     normalize_contributions,
     register_scheme,
 )
-from repro.crypto.pairing import tate_check, tate_pairing
+from repro.crypto.pairing import tate_pairing
 from repro.crypto.params import DEFAULT_PARAMS, CurveParams
 
 __all__ = ["BlsMultiSig"]
@@ -107,150 +107,6 @@ class BlsMultiSig(MultiSignatureScheme):
         lhs = self._pairing(self._generator, share.value)
         rhs = self._pairing(self._hash_message(message), public_key)
         return lhs == rhs
-
-    def verify_batch(
-        self,
-        shares: Iterable[SignatureShare],
-        message: bytes,
-        public_keys: Mapping[int, Any],
-    ) -> bool:
-        """Verify ``k`` shares on one message with ~2 pairings instead of 2k.
-
-        Uses the standard random-linear-combination check: with
-        coefficients ``c_i`` drawn (deterministically, Fiat-Shamir style)
-        from the shares themselves,
-
-            e(sum_i c_i * sigma_i, G) == e(H(m), sum_i c_i * PK_i)
-
-        holds for honest shares by bilinearity, while a forged share
-        passes only with probability ~1/r.  Returns ``True`` for an empty
-        batch.
-        """
-        shares = list(shares)
-        if not shares:
-            return True
-        if len(shares) == 1:
-            share = shares[0]
-            key = public_keys.get(share.signer)
-            return key is not None and self.verify_share(share, message, key)
-        transcript = hashlib.sha256(b"iniva-bls-batch" + message)
-        values = []
-        for share in shares:
-            if share.signer not in public_keys:
-                return False
-            value = share.value
-            if not isinstance(value, Point) or value.is_infinity or not value.is_on_curve():
-                return False
-            values.append(value)
-            transcript.update(share.signer.to_bytes(8, "big", signed=True))
-            transcript.update(value.to_bytes())
-        keys = [public_keys[share.signer] for share in shares]
-        return self._rlc_check(values, keys, transcript.digest(), message)
-
-    def _weighted_key(
-        self, aggregate: AggregateSignature, public_keys: Mapping[int, Any]
-    ) -> Optional[Point]:
-        """The multiplicity-weighted public-key sum for ``aggregate``.
-
-        Memoised on the (key bytes, multiplicity) multiset — tree shapes
-        repeat across blocks, so after warm-up this is a dict hit instead
-        of per-signer scalar multiplications.  ``None`` marks malformed
-        multiplicities (non-positive weight or unknown signer).
-        """
-        entries = []
-        for signer, mult in sorted(aggregate.multiplicities.items()):
-            key = public_keys.get(signer)
-            if mult <= 0 or key is None:
-                return None
-            entries.append((key.to_bytes(), mult))
-        weight_key = tuple(entries)
-        weighted = self._weighted_key_cache.get(weight_key)
-        if weighted is None:
-            weighted = Point.infinity(self.params)
-            for signer, mult in aggregate.multiplicities.items():
-                weighted = weighted + public_keys[signer] * mult
-            if len(self._weighted_key_cache) >= self.PAIRING_CACHE_MAX:
-                self._weighted_key_cache.clear()
-            self._weighted_key_cache[weight_key] = weighted
-        return weighted
-
-    def verify_contributions(
-        self,
-        parts: Iterable[Any],
-        message: bytes,
-        public_keys: Mapping[int, Any],
-    ) -> bool:
-        """RLC-verify a mixed bag of shares and aggregates with ~2 pairings.
-
-        The batched share check generalises: an aggregate ``A_i`` with
-        weighted key ``apk_i`` satisfies ``e(A_i, G) == e(H(m), apk_i)``
-        exactly like a share does with its signer key, so one
-        random-linear-combination equation
-
-            e(sum_i c_i * V_i, G) == e(H(m), sum_i c_i * K_i)
-
-        covers the whole bag — the tree root validates a quorum's worth of
-        direct shares *and* internal aggregates with two pairings total.
-        """
-        parts = list(parts)
-        if not parts:
-            return True
-        if len(parts) == 1:
-            part = parts[0]
-            if isinstance(part, SignatureShare):
-                key = public_keys.get(part.signer)
-                return key is not None and self.verify_share(part, message, key)
-            if isinstance(part, AggregateSignature):
-                return self.verify_aggregate(part, message, public_keys)
-            return False
-        transcript = hashlib.sha256(b"iniva-bls-mixed" + message)
-        values = []
-        keys = []
-        for part in parts:
-            value = getattr(part, "value", None)
-            if not isinstance(value, Point) or value.is_infinity or not value.is_on_curve():
-                return False
-            if isinstance(part, SignatureShare):
-                key = public_keys.get(part.signer)
-                if key is None:
-                    return False
-                transcript.update(b"s" + part.signer.to_bytes(8, "big", signed=True))
-            elif isinstance(part, AggregateSignature):
-                key = self._weighted_key(part, public_keys)
-                if key is None:
-                    return False
-                transcript.update(b"a" + key.to_bytes())
-            else:
-                return False
-            transcript.update(value.to_bytes())
-            values.append(value)
-            keys.append(key)
-        return self._rlc_check(values, keys, transcript.digest(), message)
-
-    def _rlc_check(self, values, keys, seed: bytes, message: bytes) -> bool:
-        """The shared random-linear-combination equation (two pairings).
-
-        Coefficients are 64-bit (small-exponent test): the forgery
-        probability stays at ~2^-64 while the combination's scalar
-        multiplications are ~2.5x cheaper than full 160-bit scalars, and
-        both combinations run through :func:`multi_scalar_mult` so the
-        doubling ladder is shared across the whole batch.
-        """
-        coeffs = [
-            int.from_bytes(
-                hashlib.sha256(seed + index.to_bytes(4, "big")).digest()[:8], "big"
-            )
-            + 1
-            for index in range(len(values))
-        ]
-        combined_sig = multi_scalar_mult(list(zip(values, coeffs)), self.params)
-        combined_key = multi_scalar_mult(list(zip(keys, coeffs)), self.params)
-        # Generator and H(m) first: both Miller ladders are cache hits (the
-        # generator's always, the message hash's within the block), and
-        # tate_check reduces the quotient once instead of both sides.
-        return tate_check(
-            self._generator, combined_sig, self._hash_message(message), combined_key
-        )
 
     # -- aggregation -------------------------------------------------------
     def aggregate(self, parts: Iterable[Contribution]) -> AggregateSignature:

@@ -30,7 +30,6 @@ __all__ = [
     "generator",
     "hash_to_point",
     "distortion_map",
-    "multi_scalar_mult",
     "reference_scalar_mult",
     "clear_hash_cache",
 ]
@@ -380,54 +379,6 @@ class Point:
                 parts.append(coordinate.c0.to_bytes(byte_len, "big"))
                 parts.append(coordinate.c1.to_bytes(byte_len, "big"))
         return b"".join(parts)
-
-
-def multi_scalar_mult(pairs: List[Tuple["Point", int]], params: CurveParams) -> "Point":
-    """``sum_i k_i * P_i`` via interleaved wNAF.
-
-    The doubling ladder — the dominant cost of a scalar multiplication —
-    is shared across all points: ``n`` points cost one ladder plus ``n``
-    tables and add-steps instead of ``n`` ladders.  This is what makes the
-    random-linear-combination verifiers cheap: the combination's scalar
-    work no longer scales with the batch size's ladder count.
-
-    Points off the fast path (``F_{p^2}`` distortion images, small-order
-    points whose wNAF tables cannot be built) fall back to plain ``P * k``
-    and are added to the result.
-    """
-    p = params.p
-    jobs = []
-    extra = Point.infinity(params)
-    for point, k in pairs:
-        if k < 0:
-            point, k = -point, -k
-        if k == 0 or point.is_infinity:
-            continue
-        x = point.x
-        if not isinstance(x, Fp):
-            extra = extra + point * k
-            continue
-        table = _odd_multiples(x.value, point.y.value, p)
-        if table is None:
-            extra = extra + point * k
-            continue
-        jobs.append((table, _wnaf(k, _WNAF_WIDTH)))
-    if not jobs:
-        return extra
-    acc = _JAC_INFINITY
-    for i in range(max(len(digits) for _, digits in jobs) - 1, -1, -1):
-        acc = _jac_double(*acc, p)
-        for table, digits in jobs:
-            if i < len(digits):
-                d = digits[i]
-                if d > 0:
-                    ax, ay = table[(d - 1) >> 1]
-                    acc = _jac_add_mixed(*acc, ax, ay, p)
-                elif d < 0:
-                    ax, ay = table[(-d - 1) >> 1]
-                    acc = _jac_add_mixed(*acc, ax, (p - ay) % p, p)
-    result = Point._from_jacobian(acc, params)
-    return result if extra.is_infinity else result + extra
 
 
 def _double_and_add(point: Point, scalar: int) -> Point:

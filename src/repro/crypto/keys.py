@@ -86,13 +86,21 @@ class Committee:
     def verify_aggregate(self, aggregate, message: bytes) -> bool:
         return self._scheme.verify_aggregate(aggregate, message, self.public_keys())
 
+    # The repo benchmark's probe (perfbench/probe.py) wraps the next two
+    # names as crypto spans, so they stay until it drops them; nothing in
+    # the package calls them.  Both are plain per-part loops.
     def verify_batch(self, shares, message: bytes) -> bool:
-        """Verify many shares on one message (batched where the backend can)."""
-        return self._scheme.verify_batch(shares, message, self.public_keys())
+        """``True`` iff every share verifies."""
+        return all(self.verify_share(share, message) for share in shares)
 
     def verify_contributions(self, parts, message: bytes) -> bool:
-        """Verify a mixed bag of shares and aggregates (batched where possible)."""
-        return self._scheme.verify_contributions(parts, message, self.public_keys())
+        """``True`` iff every share and aggregate verifies."""
+        return all(
+            self.verify_share(part, message)
+            if hasattr(part, "signer")
+            else self.verify_aggregate(part, message)
+            for part in parts
+        )
 
     def trust_aggregate(self, aggregate, message: bytes) -> None:
         """Mark a collector-built aggregate as verified (backend cache seed)."""

@@ -23,7 +23,7 @@ from repro.crypto.curve import Point, distortion_map
 from repro.crypto.field import Fp, Fp2
 from repro.crypto.params import CurveParams
 
-__all__ = ["tate_pairing", "tate_check", "miller_loop"]
+__all__ = ["tate_pairing", "miller_loop"]
 
 
 # Ladders: the Miller loop's point arithmetic and line coefficients depend
@@ -249,23 +249,3 @@ def tate_pairing(p_point: Point, q_point: Point) -> Fp2:
     # (p^2 - 1)/r == (p - 1) * cofactor, and z^(p-1) = conj(z) * z^-1.
     unitary = raw.conjugate() * raw.inverse()
     return _fp2_pow_unitary(unitary.c0, unitary.c1, params.cofactor, params.p)
-
-
-def tate_check(a1: Point, b1: Point, a2: Point, b2: Point) -> bool:
-    """Decide ``e(a1, b1) == e(a2, b2)`` with one final exponentiation.
-
-    Verifier's shortcut: the two reduced pairings are equal iff
-    ``(m1/m2)^((p^2-1)/r) == 1`` for the raw Miller values, so instead of
-    reducing both sides we reduce the quotient once.  Using
-    ``x^(p-1) = conj(x)/x``, the quotient's ``p-1`` power needs a single
-    field inversion: ``(conj(m1) m2) / (m1 conj(m2))``.
-    """
-    if a1.is_infinity or b1.is_infinity or a2.is_infinity or b2.is_infinity:
-        return tate_pairing(a1, b1) == tate_pairing(a2, b2)
-    params = a1.params
-    p = params.p
-    m1 = miller_loop(a1, distortion_map(b1), params)
-    m2 = miller_loop(a2, distortion_map(b2), params)
-    quotient = (m1.conjugate() * m2) * (m1 * m2.conjugate()).inverse()
-    reduced = _fp2_pow_unitary(quotient.c0, quotient.c1, params.cofactor, p)
-    return reduced == Fp2.one(p)

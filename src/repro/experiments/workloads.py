@@ -11,9 +11,7 @@ evaluation sweeps.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.clients.arrivals import make_arrival
 from repro.consensus.mempool import Mempool
@@ -38,35 +36,16 @@ class ClientWorkload:
         burst_factor: Peak-to-mean ratio of the time-varying models
             (ignored by ``poisson``/``uniform``).
         period: Cycle length of the time-varying models, seconds.
-        jitter: Deprecated alias for the arrival model: ``True`` meant
-            ``arrival="poisson"``, ``False`` meant ``arrival="uniform"``.
-            Passing it explicitly warns and maps onto ``arrival``; it will
-            be removed one release after the deprecation.
         seed: RNG seed for the arrival process.
     """
 
     rate: float
     payload_size: int = 64
     num_clients: int = 4
-    jitter: Optional[bool] = None
     seed: int = 42
     arrival: str = "poisson"
     burst_factor: float = 4.0
     period: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.jitter is not None:
-            warnings.warn(
-                "ClientWorkload(jitter=...) is deprecated; pass "
-                "arrival='poisson' (jitter=True) or arrival='uniform' "
-                "(jitter=False) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            object.__setattr__(self, "arrival", "poisson" if self.jitter else "uniform")
-            # Reset the sentinel so round-tripping the dataclass (replace,
-            # asdict/reconstruct) does not warn a second time.
-            object.__setattr__(self, "jitter", None)
 
     def attach(self, simulator: Simulator, mempool: Mempool, duration: float) -> int:
         """Schedule all request submissions for a run of ``duration`` seconds.

@@ -112,21 +112,3 @@ class Runtime(Clock, Transport):
     def spawn(self, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` as soon as possible (next tick)."""
         self.set_timer(0.0, callback, *args)
-
-    def offload(self, fn: Callable[[], Any], callback: Callable[[Any], None]) -> None:
-        """Run ``fn()`` off the hot path and hand its result to ``callback``.
-
-        The escape hatch for CPU-heavy protocol work (batched signature
-        verification, pairings).  The default — used by the deterministic
-        sim runtime — executes ``fn`` synchronously and invokes
-        ``callback(result)`` before returning, so simulated runs stay
-        reproducible.  The live runtime overrides this to run ``fn`` on a
-        worker-pool thread and deliver ``callback`` back on the event
-        loop, so the loop never blocks on the computation.  Callers must
-        not assume the callback has run when ``offload`` returns.
-
-        Args:
-            fn: Zero-argument computation to execute.
-            callback: Receives ``fn``'s return value exactly once.
-        """
-        callback(fn())

@@ -75,12 +75,10 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-import os
 import socket
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -126,25 +124,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger("repro.runtime.live")
-
-
-#: Shared verification worker pool (lazily created, one per interpreter).
-#: All nodes in a process share it — in task mode the whole committee
-#: lives in one loop, so a per-node pool would just multiply idle threads.
-#: ``ThreadPoolExecutor`` threads are joined at interpreter exit, so no
-#: per-run teardown is needed; in-flight work after a node stops is
-#: discarded by the node's ``_stopping`` guard.
-_verification_pool: Optional[ThreadPoolExecutor] = None
-
-
-def _worker_pool() -> ThreadPoolExecutor:
-    global _verification_pool
-    if _verification_pool is None:
-        _verification_pool = ThreadPoolExecutor(
-            max_workers=max(2, (os.cpu_count() or 2) - 1),
-            thread_name_prefix="repro-verify",
-        )
-    return _verification_pool
 
 
 #: Capability table behind :func:`validate_live_spec`: each entry is a
@@ -274,9 +253,6 @@ class LiveRuntime(Runtime):
         for dst in destinations:
             node.transport_send(dst, message if dst == node.pid else wire, size_bytes)
 
-    def offload(self, fn: Callable[[], Any], callback: Callable[[Any], None]) -> None:
-        self._node.offload(fn, callback)
-
     def set_timer(self, delay: float, callback: Callable[..., None], *args: Any) -> TimerHandle:
         loop = self._node.loop
         return _LiveTimer(loop.call_later(max(delay, 0.0), callback, *args))
@@ -401,43 +377,6 @@ class LiveNode:
         # The replica registers itself during construction; nothing to do —
         # the node already holds it.
         pass
-
-    def offload(self, fn: Callable[[], Any], callback: Callable[[Any], None]) -> None:
-        """Run ``fn`` on the shared worker pool; deliver ``callback`` on the loop.
-
-        The live half of :meth:`~repro.runtime.base.Runtime.offload`:
-        batched pairing checks run on a ``ThreadPoolExecutor`` thread so
-        the event loop keeps serving frames, and the result is marshalled
-        back with ``call_soon_threadsafe``.  Work still in flight when the
-        node stops is silently discarded — by then its collection state is
-        gone anyway.
-        """
-        if self._stopping:
-            return
-        loop = self.loop
-        if loop is None:  # bare node in tests, no loop yet: run inline
-            callback(fn())
-            return
-        future = _worker_pool().submit(fn)
-
-        def _done(fut) -> None:
-            try:
-                result = fut.result()
-            except Exception as exc:  # a verifier must never kill the node
-                logger.warning("replica %d offloaded work raised %r", self.pid, exc)
-                return
-            if self._stopping:
-                return
-            try:
-                loop.call_soon_threadsafe(self._offload_callback, callback, result)
-            except RuntimeError:
-                pass  # loop already closed during teardown
-
-        future.add_done_callback(_done)
-
-    def _offload_callback(self, callback: Callable[[Any], None], result: Any) -> None:
-        if not self._stopping:
-            callback(result)
 
     def transport_send(self, dst: int, message: Any, size_bytes: int) -> None:
         if self._stopping:

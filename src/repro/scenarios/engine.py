@@ -148,8 +148,6 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
         sync_on_recover=spec.resilience.catchup,
         max_sync_blocks=spec.resilience.max_sync_blocks,
         optimistic_responsiveness=spec.optimistic_responsiveness,
-        batch_verification=spec.batch_verification,
-        verification_offload=spec.verification_offload,
         **dict(spec.scheme_params),
     )
 

@@ -259,15 +259,12 @@ class WorkloadSpec:
 
     ``max_pending`` / ``client_window`` bound the live mempool's
     admission (queue depth / per-client in-flight fairness); 0 disables
-    a bound.  ``jitter`` is the deprecated ancestor of ``arrival``
-    (``True`` → ``"poisson"``, ``False`` → ``"uniform"``): passing it
-    explicitly warns and maps onto ``arrival``.
+    a bound.
     """
 
     rate: float = 2000.0
     payload_size: int = 64
     num_clients: int = 4
-    jitter: Optional[bool] = None
     seed: Optional[int] = None
     preload: bool = False
     arrival: str = "poisson"
@@ -277,19 +274,6 @@ class WorkloadSpec:
     client_window: int = 0
 
     def __post_init__(self) -> None:
-        if self.jitter is not None:
-            import warnings
-
-            warnings.warn(
-                "WorkloadSpec(jitter=...) is deprecated; pass "
-                "arrival='poisson' (jitter=True) or arrival='uniform' "
-                "(jitter=False) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            object.__setattr__(self, "arrival", "poisson" if self.jitter else "uniform")
-            # Reset the sentinel so spec round-trips do not warn again.
-            object.__setattr__(self, "jitter", None)
         if self.rate < 0:
             raise ValueError("workload rate cannot be negative")
         if self.payload_size < 0:
@@ -465,21 +449,12 @@ class ScenarioSpec:
     view_timeout: Optional[float] = None
     # Tree shape: internal aggregators; ``None`` is the balanced default.
     num_internal: Optional[int] = None
-    # Hot-path pacing and verification knobs (see ConsensusConfig).  All
-    # default off: the paper-faithful timer-paced, per-share-verified
-    # behaviour the figures and goldens pin.
-    #
+    # Hot-path pacing knob (see ConsensusConfig), default off: the
+    # paper-faithful timer-paced behaviour the figures and goldens pin.
     # ``optimistic_responsiveness`` enters a view the moment its QC forms
     # instead of waiting out the 2Δ propose delay (timers stay armed as
-    # the fallback).  ``batch_verification`` defers share checks at
-    # collectors and batches them into one verify_batch call (under
-    # ``bls`` the RLC check: ~2 pairings for any number of shares).
-    # ``verification_offload`` runs those batched checks through
-    # ``Runtime.offload`` — a worker pool under the live runtime, inline
-    # under sim so simulated runs stay deterministic.
+    # the fallback).
     optimistic_responsiveness: bool = False
-    batch_verification: bool = False
-    verification_offload: bool = False
     # Extra ConsensusConfig knobs for baseline schemes (gossip fanout,
     # Handel levels, Kauri fallback, ablation switches ...), stored as a
     # sorted tuple of pairs so the spec stays hashable; accepts a mapping.
@@ -512,8 +487,6 @@ class ScenarioSpec:
             "sync_on_recover",
             "max_sync_blocks",
             "optimistic_responsiveness",
-            "batch_verification",
-            "verification_offload",
         }
     )
 
@@ -663,8 +636,6 @@ class ScenarioSpec:
             "view_timeout": self.view_timeout,
             "num_internal": self.num_internal,
             "optimistic_responsiveness": self.optimistic_responsiveness,
-            "batch_verification": self.batch_verification,
-            "verification_offload": self.verification_offload,
             "scheme_params": dict(self.scheme_params),
             "committee": _spec_to_dict(self.committee),
             "topology": _spec_to_dict(self.topology),

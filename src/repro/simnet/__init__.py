@@ -13,9 +13,9 @@ simulator with
 * fault injection (crash and message-drop schedules,
   :mod:`repro.simnet.failures`),
 * metric collection (throughput, latency percentiles, CPU utilisation,
-  message/byte counters, :mod:`repro.simnet.metrics`), and
-* message tracing for debugging and overhead analysis
-  (:mod:`repro.simnet.trace`).
+  message/byte counters, :mod:`repro.simnet.metrics`).
+
+Consensus-level tracing lives in :mod:`repro.observe`.
 """
 
 from repro.simnet.events import EventHandle, EventQueue, Simulator
@@ -31,7 +31,6 @@ from repro.simnet.network import Network
 from repro.simnet.process import CpuCostModel, Process, Timer
 from repro.simnet.failures import FailureInjector, FailurePlan, PartitionEvent
 from repro.simnet.topology import MatrixLatency, RackTopologyLatency, RegionMatrixLatency
-from repro.simnet.trace import MessageTracer, TraceRecord
 
 __all__ = [
     "ConstantLatency",
@@ -43,7 +42,6 @@ __all__ = [
     "LatencyModel",
     "LinkBandwidth",
     "MatrixLatency",
-    "MessageTracer",
     "MetricsCollector",
     "Network",
     "NormalLatency",
@@ -53,6 +51,5 @@ __all__ = [
     "RegionMatrixLatency",
     "Simulator",
     "Timer",
-    "TraceRecord",
     "UniformLatency",
 ]

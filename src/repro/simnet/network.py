@@ -47,9 +47,6 @@ class Network:
         # reference-counted so overlapping partitions compose: healing one
         # must not restore a link another still blocks.
         self._blocked_links: Dict[Tuple[int, int], int] = {}
-        # Observers get (event, time, src, dst, message) for every transport
-        # event; used by repro.simnet.trace for debugging and analysis.
-        self._observers: list = []
         # Counters for the evaluation harness.
         self.messages_sent = 0
         self.messages_delivered = 0
@@ -66,24 +63,6 @@ class Network:
         self._delivered_to: Dict[int, int] = {}
         self._dropped_by: Dict[int, int] = {}
         self._delayed_by: Dict[int, int] = {}
-
-    # -- observation -----------------------------------------------------------
-    def add_observer(self, observer) -> None:
-        """Register a callback ``observer(event, time, src, dst, message)``.
-
-        ``event`` is one of ``"send"``, ``"drop"`` or ``"deliver"``.
-        """
-        self._observers.append(observer)
-
-    def remove_observer(self, observer) -> None:
-        self._observers.remove(observer)
-
-    def _notify(self, event: str, src: int, dst: int, message: Any) -> None:
-        if not self._observers:
-            return
-        now = self.simulator.now
-        for observer in self._observers:
-            observer(event, now, src, dst, message)
 
     # -- membership -----------------------------------------------------------
     def register(self, process: Process) -> None:
@@ -151,7 +130,6 @@ class Network:
         self._sent_by[src] = self._sent_by.get(src, 0) + 1
         if size_bytes:
             self._bytes_by[src] = self._bytes_by.get(src, 0) + size_bytes
-        self._notify("send", src, dst, message)
         destination = self._processes.get(dst)
         if destination is None or destination.crashed:
             self._count_drop(src, dst, message)
@@ -187,7 +165,6 @@ class Network:
     def _count_drop(self, src: int, dst: int, message: Any) -> None:
         self.messages_dropped += 1
         self._dropped_by[src] = self._dropped_by.get(src, 0) + 1
-        self._notify("drop", src, dst, message)
 
     def _finalise_delivery(self, src: int, dst: int, message: Any) -> None:
         destination = self._processes.get(dst)
@@ -196,7 +173,6 @@ class Network:
             return
         self.messages_delivered += 1
         self._delivered_to[dst] = self._delivered_to.get(dst, 0) + 1
-        self._notify("deliver", src, dst, message)
         destination._deliver(src, message)
 
     # -- reporting -----------------------------------------------------------------

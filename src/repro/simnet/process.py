@@ -64,16 +64,6 @@ class CpuCostModel:
         """Cost of verifying one aggregate covering ``signer_count`` signers."""
         return self.verify_aggregate_base + self.verify_aggregate_per_signer * max(signer_count, 0)
 
-    def batch_verify_cost(self, share_count: int) -> float:
-        """Cost of one *batched* check over ``share_count`` pending shares.
-
-        Models RLC batch verification (``verify_batch``): a fixed
-        aggregate-style check — the two pairings — plus a per-share folding
-        term, instead of ``share_count * verify_share``.  For small batches
-        the fixed cost dominates, which matches the real backends.
-        """
-        return self.verify_aggregate_base + self.aggregate_per_share * max(share_count, 0)
-
 
 @dataclass
 class Timer:

@@ -94,12 +94,6 @@ class TestWorkloadSpecPlumbing:
         with pytest.raises(ValueError, match="arrival"):
             WorkloadSpec(rate=100.0, arrival="fractal")
 
-    def test_jitter_alias_maps_to_arrival(self):
-        with pytest.warns(DeprecationWarning, match="jitter"):
-            spec = WorkloadSpec(rate=100.0, jitter=False)
-        assert spec.arrival == "uniform"
-        assert spec.jitter is None
-
 
 def _open_loop_spec(**workload_overrides) -> ScenarioSpec:
     workload = dict(

@@ -16,7 +16,6 @@ from repro.crypto.curve import (
     hash_to_point,
     reference_scalar_mult,
 )
-from repro.crypto.multisig import SignatureShare
 from repro.crypto.params import DEFAULT_PARAMS, TOY_PARAMS
 
 G = generator(TOY_PARAMS)
@@ -109,69 +108,6 @@ class TestFastPathFullParams:
         pair = scheme.keygen(99)
         share = scheme.sign(pair.secret_key, b"full-params-message", 0)
         assert scheme.verify_share(share, b"full-params-message", pair.public_key)
-
-
-@pytest.mark.pairing
-class TestBatchVerification:
-    @pytest.fixture(scope="class")
-    def scheme(self):
-        return BlsMultiSig(TOY_PARAMS)
-
-    @pytest.fixture(scope="class")
-    def keys(self, scheme):
-        return {pid: scheme.keygen(100 + pid) for pid in range(5)}
-
-    def test_valid_batch_accepts(self, scheme, keys):
-        message = b"batch-me"
-        shares = [scheme.sign(pair.secret_key, message, pid) for pid, pair in keys.items()]
-        public = {pid: pair.public_key for pid, pair in keys.items()}
-        assert scheme.verify_batch(shares, message, public)
-
-    def test_empty_batch_accepts(self, scheme, keys):
-        assert scheme.verify_batch([], b"anything", {})
-
-    def test_single_share_batch(self, scheme, keys):
-        message = b"solo"
-        share = scheme.sign(keys[0].secret_key, message, 0)
-        public = {pid: pair.public_key for pid, pair in keys.items()}
-        assert scheme.verify_batch([share], message, public)
-        assert not scheme.verify_batch(
-            [SignatureShare(signer=1, value=share.value)], message, public
-        )
-
-    def test_one_bad_share_rejects_batch(self, scheme, keys):
-        message = b"batch-me"
-        shares = [scheme.sign(pair.secret_key, message, pid) for pid, pair in keys.items()]
-        wrong = scheme.sign(keys[0].secret_key, b"different-message", 0)
-        shares[0] = wrong
-        public = {pid: pair.public_key for pid, pair in keys.items()}
-        assert not scheme.verify_batch(shares, message, public)
-
-    def test_unknown_signer_rejects(self, scheme, keys):
-        message = b"batch-me"
-        shares = [scheme.sign(keys[0].secret_key, message, 42)]
-        public = {pid: pair.public_key for pid, pair in keys.items()}
-        assert not scheme.verify_batch(shares, message, public)
-
-    def test_batch_agrees_with_individual_verification(self, scheme, keys):
-        message = b"cross-check"
-        shares = [scheme.sign(pair.secret_key, message, pid) for pid, pair in keys.items()]
-        public = {pid: pair.public_key for pid, pair in keys.items()}
-        individually = all(
-            scheme.verify_share(share, message, public[share.signer]) for share in shares
-        )
-        assert scheme.verify_batch(shares, message, public) == individually
-
-    def test_default_backend_batch(self):
-        from repro.crypto.multisig import get_scheme
-
-        scheme = get_scheme("hashsig")
-        keys = {pid: scheme.keygen(pid) for pid in range(4)}
-        public = {pid: pair.public_key for pid, pair in keys.items()}
-        shares = [scheme.sign(pair.secret_key, b"m", pid) for pid, pair in keys.items()]
-        assert scheme.verify_batch(shares, b"m", public)
-        shares[2] = SignatureShare(signer=2, value=12345)
-        assert not scheme.verify_batch(shares, b"m", public)
 
 
 @pytest.mark.pairing

@@ -1,28 +1,17 @@
-"""Tests for the hot-path verification primitives added for the live cluster.
+"""Tests for the trusted-aggregate memo seeding (``trust_aggregate``).
 
-Covers the mixed share/aggregate random-linear-combination check
-(``verify_contributions``), the trusted-aggregate memo seeding
-(``trust_aggregate``), the shared-ladder multi-scalar multiplication,
-and the single-reduction pairing equality check (``tate_check``).
+A collector verifies every contribution before folding it in, so the
+aggregate it builds is known valid; ``trust_aggregate`` records that in
+the backend's verified-aggregate memo.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.crypto.bls import BlsMultiSig
-from repro.crypto.curve import (
-    Point,
-    generator,
-    hash_to_point,
-    multi_scalar_mult,
-    reference_scalar_mult,
-)
-from repro.crypto.keys import Committee
-from repro.crypto.multisig import AggregateSignature, SignatureShare, get_scheme
+from repro.crypto.multisig import AggregateSignature, get_scheme
 from repro.crypto.params import TOY_PARAMS
-from repro.crypto.pairing import tate_check, tate_pairing
 
 MESSAGE = b"vote|deadbeef|7|6"
 
@@ -42,103 +31,6 @@ def keys(scheme):
 
 def _share(scheme, secrets, pid, message=MESSAGE):
     return scheme.sign(secrets[pid], message, pid)
-
-
-class TestVerifyContributions:
-    def test_empty_bag_accepts(self, scheme, keys):
-        public, _ = keys
-        assert scheme.verify_contributions([], MESSAGE, public)
-
-    def test_single_share_dispatches_to_verify_share(self, scheme, keys):
-        public, secrets = keys
-        share = _share(scheme, secrets, 0)
-        assert scheme.verify_contributions([share], MESSAGE, public)
-        bad = SignatureShare(signer=0, value=share.value * 2)
-        assert not scheme.verify_contributions([bad], MESSAGE, public)
-
-    def test_single_aggregate_dispatches_to_verify_aggregate(self, scheme, keys):
-        public, secrets = keys
-        agg = scheme.aggregate(
-            [(_share(scheme, secrets, 0), 1), (_share(scheme, secrets, 1), 1)]
-        )
-        assert scheme.verify_contributions([agg], MESSAGE, public)
-
-    def test_mixed_bag_of_shares_and_aggregates(self, scheme, keys):
-        public, secrets = keys
-        agg = scheme.aggregate(
-            [(_share(scheme, secrets, 2), 1), (_share(scheme, secrets, 3), 1)]
-        )
-        weighted = scheme.aggregate(
-            [(_share(scheme, secrets, 4), 2), (_share(scheme, secrets, 5), 1)]
-        )
-        parts = [_share(scheme, secrets, 0), agg, _share(scheme, secrets, 1), weighted]
-        assert scheme.verify_contributions(parts, MESSAGE, public)
-
-    def test_one_forged_share_rejects_bag(self, scheme, keys):
-        public, secrets = keys
-        agg = scheme.aggregate(
-            [(_share(scheme, secrets, 2), 1), (_share(scheme, secrets, 3), 1)]
-        )
-        forged = SignatureShare(signer=1, value=_share(scheme, secrets, 1).value * 3)
-        assert not scheme.verify_contributions(
-            [_share(scheme, secrets, 0), agg, forged], MESSAGE, public
-        )
-
-    def test_one_corrupted_aggregate_rejects_bag(self, scheme, keys):
-        public, secrets = keys
-        agg = scheme.aggregate(
-            [(_share(scheme, secrets, 2), 1), (_share(scheme, secrets, 3), 1)]
-        )
-        corrupted = AggregateSignature(
-            value=agg.value * 2, multiplicities=agg.multiplicities
-        )
-        assert not scheme.verify_contributions(
-            [_share(scheme, secrets, 0), corrupted], MESSAGE, public
-        )
-
-    def test_unknown_signer_rejects(self, scheme, keys):
-        public, secrets = keys
-        stranger = scheme.keygen(999)
-        share = scheme.sign(stranger.secret_key, MESSAGE, 42)
-        assert not scheme.verify_contributions(
-            [_share(scheme, secrets, 0), share], MESSAGE, public
-        )
-
-    def test_wrong_message_rejects(self, scheme, keys):
-        public, secrets = keys
-        parts = [_share(scheme, secrets, 0), _share(scheme, secrets, 1)]
-        assert not scheme.verify_contributions(parts, b"some other payload", public)
-
-    def test_non_contribution_rejects(self, scheme, keys):
-        public, secrets = keys
-        assert not scheme.verify_contributions(
-            [_share(scheme, secrets, 0), object()], MESSAGE, public
-        )
-
-    def test_agrees_with_individual_verification(self, scheme, keys):
-        # The RLC shortcut must never accept a bag that per-part checks
-        # reject, nor reject one they accept.
-        public, secrets = keys
-        good = [
-            _share(scheme, secrets, 0),
-            scheme.aggregate(
-                [(_share(scheme, secrets, 1), 1), (_share(scheme, secrets, 2), 1)]
-            ),
-        ]
-        individually = all(
-            scheme.verify_share(p, MESSAGE, public[p.signer])
-            if isinstance(p, SignatureShare)
-            else scheme.verify_aggregate(p, MESSAGE, public)
-            for p in good
-        )
-        assert scheme.verify_contributions(good, MESSAGE, public) == individually
-
-    def test_committee_wrapper(self, scheme, keys):
-        scheme_local = get_scheme("bls", params=TOY_PARAMS)
-        committee = Committee(scheme_local, size=4, seed=11)
-        shares = [committee.sign(pid, MESSAGE) for pid in range(3)]
-        agg = scheme_local.aggregate([(shares[2], 1)])
-        assert committee.verify_contributions([shares[0], shares[1], agg], MESSAGE)
 
 
 class TestTrustAggregate:
@@ -170,81 +62,3 @@ class TestTrustAggregate:
         # Base-class default: silently ignored, verification still works.
         scheme.trust_aggregate(agg, MESSAGE, {1: pair.public_key})
         assert scheme.verify_aggregate(agg, MESSAGE, {1: pair.public_key})
-
-
-class TestMultiScalarMult:
-    G = generator(TOY_PARAMS)
-    R = TOY_PARAMS.r
-
-    def _reference(self, pairs):
-        total = Point.infinity(TOY_PARAMS)
-        for point, k in pairs:
-            total = total + reference_scalar_mult(point, k)
-        return total
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        ks=st.lists(st.integers(min_value=0, max_value=2 * R), min_size=1, max_size=6),
-        seeds=st.lists(st.binary(min_size=1, max_size=8), min_size=1, max_size=6),
-    )
-    def test_matches_sum_of_reference_mults(self, ks, seeds):
-        points = [hash_to_point(seed, TOY_PARAMS) for seed in seeds]
-        pairs = list(zip(points, ks))
-        fast = multi_scalar_mult(pairs, TOY_PARAMS)
-        assert fast == self._reference(pairs)
-
-    def test_empty_input_is_infinity(self):
-        assert multi_scalar_mult([], TOY_PARAMS).is_infinity
-
-    def test_zero_scalars_and_infinity_points_skipped(self):
-        pairs = [
-            (self.G, 0),
-            (Point.infinity(TOY_PARAMS), 17),
-            (self.G, 5),
-        ]
-        assert multi_scalar_mult(pairs, TOY_PARAMS) == reference_scalar_mult(self.G, 5)
-
-    def test_negative_scalars(self):
-        pairs = [(self.G, -3), (hash_to_point(b"q", TOY_PARAMS), 7)]
-        assert multi_scalar_mult(pairs, TOY_PARAMS) == self._reference(pairs)
-
-
-class TestTateCheck:
-    G = generator(TOY_PARAMS)
-
-    def test_agrees_with_two_pairings_on_valid_signature(self):
-        scheme = BlsMultiSig(params=TOY_PARAMS)
-        pair = scheme.keygen(77)
-        share = scheme.sign(pair.secret_key, MESSAGE, 77)
-        h = hash_to_point(MESSAGE, TOY_PARAMS)
-        assert tate_check(self.G, share.value, h, pair.public_key)
-        assert tate_pairing(self.G, share.value) == tate_pairing(
-            h, pair.public_key
-        )
-
-    def test_rejects_mismatched_pairs(self):
-        a = hash_to_point(b"a", TOY_PARAMS)
-        b = hash_to_point(b"b", TOY_PARAMS)
-        assert not tate_check(self.G, a, self.G, b)
-        assert tate_pairing(self.G, a) != tate_pairing(self.G, b)
-
-    def test_bilinearity_shift(self):
-        # e(G, k*P) == e(k*G, P) — the check must see through which side
-        # carries the scalar.
-        p = hash_to_point(b"shift", TOY_PARAMS)
-        assert tate_check(self.G, p * 9, self.G * 9, p)
-
-    def test_infinity_operands(self):
-        inf = Point.infinity(TOY_PARAMS)
-        p = hash_to_point(b"inf", TOY_PARAMS)
-        # e(G, O) == 1 == e(O, P)
-        assert tate_check(self.G, inf, inf, p)
-        assert not tate_check(self.G, p, inf, p)
-
-    @settings(max_examples=20, deadline=None)
-    @given(k=st.integers(min_value=1, max_value=TOY_PARAMS.r - 1))
-    def test_matches_explicit_comparison(self, k):
-        p = hash_to_point(b"prop", TOY_PARAMS)
-        left = tate_pairing(self.G, p * k)
-        right = tate_pairing(p, self.G * k)
-        assert tate_check(self.G, p * k, p, self.G * k) == (left == right)

@@ -39,25 +39,6 @@ class TestClientWorkload:
         assert {request.client_id for request in batch} == {0, 1, 2, 3}
         assert all(request.size_bytes == 64 for request in batch)
 
-    def test_jitter_flag_deprecated_but_equivalent(self):
-        with pytest.warns(DeprecationWarning, match="jitter"):
-            legacy = ClientWorkload(rate=500, jitter=True, seed=7)
-        assert legacy.arrival == "poisson"
-        assert legacy.jitter is None  # sentinel reset: round-trips don't re-warn
-        with pytest.warns(DeprecationWarning):
-            assert ClientWorkload(rate=500, jitter=False).arrival == "uniform"
-        # The mapped workload schedules the exact same arrivals as the
-        # explicit arrival-model spelling (bit-identical RNG stream).
-        modern = ClientWorkload(rate=500, arrival="poisson", seed=7)
-        sim_a, pool_a = Simulator(), Mempool()
-        sim_b, pool_b = Simulator(), Mempool()
-        assert legacy.attach(sim_a, pool_a, 1.0) == modern.attach(sim_b, pool_b, 1.0)
-        sim_a.run(until=1.0)
-        sim_b.run(until=1.0)
-        assert [r.submitted_at for r in pool_a.next_batch(10_000)] == [
-            r.submitted_at for r in pool_b.next_batch(10_000)
-        ]
-
 
 class TestRunner:
     def test_build_deployment_wires_everything(self):

@@ -294,59 +294,22 @@ class TestYamlLite:
         assert ScenarioSpec.from_json(spec.to_json()) == spec
 
 
-class TestJitterDeprecationAlias:
-    """The PR-8 ``workload.jitter`` → ``arrival`` migration contract."""
+class TestRemovedKeysRejected:
+    """Keys of deleted options fail loudly instead of being ignored."""
 
-    def test_true_maps_to_poisson_with_warning(self):
-        with pytest.warns(DeprecationWarning, match="jitter.*deprecated"):
-            spec = WorkloadSpec(rate=100.0, jitter=True)
-        assert spec.arrival == "poisson"
-        assert spec.jitter is None  # sentinel reset after mapping
+    @pytest.mark.parametrize("key", ["batch_verification", "verification_offload"])
+    def test_removed_verification_knob_in_document(self, key):
+        document = ScenarioSpec(name="legacy").to_dict()
+        document[key] = True
+        with pytest.raises(ValueError, match=key):
+            ScenarioSpec.from_dict(document)
 
-    def test_false_maps_to_uniform_with_warning(self):
-        with pytest.warns(DeprecationWarning, match="jitter.*deprecated"):
-            spec = WorkloadSpec(rate=100.0, jitter=False)
-        assert spec.arrival == "uniform"
-        assert spec.jitter is None
+    def test_removed_verification_knob_as_scheme_param(self):
+        with pytest.raises(ValueError, match="unknown scheme param"):
+            ScenarioSpec(name="legacy", scheme_params={"batch_verification": True})
 
-    def test_default_construction_does_not_warn(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            spec = WorkloadSpec(rate=100.0, arrival="uniform")
-        assert spec.jitter is None
-
-    def test_alias_is_behavior_identical(self):
-        # The mapped spec is indistinguishable from the modern spelling —
-        # same field values, same serialised form, so every downstream
-        # consumer (arrival process, preload, swarm) behaves identically.
-        with pytest.warns(DeprecationWarning):
-            legacy = WorkloadSpec(rate=250.0, jitter=True, seed=9)
-        modern = WorkloadSpec(rate=250.0, arrival="poisson", seed=9)
-        assert legacy == modern
-
-    def test_round_trip_does_not_warn_again(self):
-        import warnings
-
-        with pytest.warns(DeprecationWarning):
-            spec = ScenarioSpec(
-                name="legacy", workload=WorkloadSpec(rate=100.0, jitter=False)
-            )
-        document = spec.to_dict()
-        # The serialised workload carries the mapped arrival model and a
-        # dead (None) jitter sentinel, so reloading stays silent.
-        assert document["workload"]["arrival"] == "uniform"
-        assert document["workload"].get("jitter") is None
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            clone = ScenarioSpec.from_dict(document)
-        assert clone == spec
-
-    def test_legacy_document_with_live_jitter_warns_once(self):
-        spec = ScenarioSpec(name="modern")
-        document = spec.to_dict()
-        document["workload"]["jitter"] = True  # a pre-PR-8 spec file
-        with pytest.warns(DeprecationWarning, match="jitter"):
-            loaded = ScenarioSpec.from_dict(document)
-        assert loaded.workload.arrival == "poisson"
+    def test_legacy_workload_jitter_in_document(self):
+        document = ScenarioSpec(name="legacy").to_dict()
+        document["workload"]["jitter"] = True
+        with pytest.raises(ValueError, match=r"unknown WorkloadSpec keys: \['jitter'\]"):
+            ScenarioSpec.from_dict(document)

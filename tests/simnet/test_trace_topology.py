@@ -1,4 +1,4 @@
-"""Tests for message tracing and topology-aware latency models."""
+"""Tests for topology-aware latency models."""
 
 from __future__ import annotations
 
@@ -7,92 +7,8 @@ import random
 import pytest
 
 from repro.consensus.config import ConsensusConfig
-from repro.experiments.runner import build_deployment
 from repro.experiments.workloads import ClientWorkload
 from repro.simnet.topology import MatrixLatency, RackTopologyLatency
-from repro.simnet.trace import MessageTracer
-
-
-# ---------------------------------------------------------------------------
-# MessageTracer
-# ---------------------------------------------------------------------------
-def _traced_deployment(**overrides):
-    config = ConsensusConfig(committee_size=7, batch_size=10, view_timeout=0.1, **overrides)
-    deployment = build_deployment(config)
-    tracer = MessageTracer(deployment.network)
-    ClientWorkload(rate=1_000, payload_size=32, seed=2).attach(
-        deployment.simulator, deployment.mempool, 0.5
-    )
-    deployment.start()
-    deployment.simulator.run(until=0.5)
-    return deployment, tracer
-
-
-def test_tracer_records_protocol_messages():
-    _, tracer = _traced_deployment(aggregation="iniva")
-    assert len(tracer) > 0
-    counts = tracer.counts_by_type("send")
-    assert counts.get("ProposalMessage", 0) > 0
-    assert counts.get("SignatureMessage", 0) > 0
-    summary = tracer.summary()
-    assert summary["total_send"] >= summary["total_deliver"]
-
-
-def test_tracer_views_and_timelines():
-    _, tracer = _traced_deployment(aggregation="iniva")
-    per_view = tracer.counts_by_view("send")
-    assert per_view, "expected at least one view's worth of traffic"
-    view = min(per_view)
-    timeline = tracer.timeline(view)
-    assert timeline == sorted(timeline, key=lambda record: record.time)
-    assert all(record.view == view for record in timeline)
-
-
-def test_tracer_filter_and_detach():
-    deployment, tracer = _traced_deployment(aggregation="star")
-    proposals = tracer.filter(message_type="ProposalMessage", event="send")
-    assert proposals
-    assert all(record.message_type == "ProposalMessage" for record in proposals)
-    between = tracer.messages_between(proposals[0].src, proposals[0].dst)
-    assert between
-
-    seen_before = len(tracer)
-    tracer.detach()
-    deployment.network.send(0, 1, "late message")
-    deployment.simulator.run(until=0.6)
-    assert len(tracer) == seen_before
-
-    tracer.clear()
-    assert len(tracer) == 0
-
-
-def test_tracer_predicate_and_truncation():
-    config = ConsensusConfig(committee_size=7, batch_size=10, view_timeout=0.1)
-    deployment = build_deployment(config)
-    only_drops = MessageTracer(deployment.network, predicate=lambda r: r.event == "drop")
-    bounded = MessageTracer(deployment.network, max_records=5)
-    deployment.start()
-    deployment.simulator.run(until=0.3)
-    assert all(record.event == "drop" for record in only_drops.records)
-    assert len(bounded) == 5
-    assert bounded.truncated
-
-
-def test_tracer_records_second_chance_traffic_under_faults():
-    from repro.simnet.failures import FailureInjector, FailurePlan
-
-    config = ConsensusConfig(committee_size=7, batch_size=10, aggregation="iniva", view_timeout=0.1)
-    deployment = build_deployment(config)
-    tracer = MessageTracer(deployment.network)
-    FailureInjector(deployment.simulator, deployment.network).apply(
-        FailurePlan.crash_from_start([6])
-    )
-    ClientWorkload(rate=1_000, payload_size=32, seed=2).attach(
-        deployment.simulator, deployment.mempool, 0.8
-    )
-    deployment.start()
-    deployment.simulator.run(until=0.8)
-    assert tracer.counts_by_type("send").get("SecondChanceMessage", 0) > 0
 
 
 # ---------------------------------------------------------------------------
