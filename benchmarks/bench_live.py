@@ -217,11 +217,10 @@ def bench_hot_path(duration: float, procs: int) -> dict:
 def bench_recovery(duration: float) -> dict:
     """Crash-restart cell: one replica down mid-window, then catching up.
 
-    Always runs in task mode (the scheduled fault driver needs it) and
-    reports the resilience layer's headline number — time to rejoin: the
-    gap between the replica's recovery and its first post-recovery commit
-    through the ordinary three-chain rule, with catch-up sync closing the
-    committed-block gap in between.
+    Runs in task mode and reports the resilience layer's headline number
+    — time to rejoin: the gap between the replica's recovery and its
+    first post-recovery commit through the ordinary three-chain rule,
+    with catch-up sync closing the committed-block gap in between.
     """
     spec = _bench_spec("iniva", "hashsig", duration).with_(
         name="bench-live-crash-restart",
@@ -667,8 +666,7 @@ def main(argv) -> int:
     )
     if procs == 1 and not quick:
         clusters.append(bench_cluster("iniva", "hashsig", duration, procs=2))
-    # The recovery cell: crash-restart with catch-up sync (task mode —
-    # the scheduled fault driver coordinates in-process).
+    # The recovery cell: crash-restart with catch-up sync (task mode).
     clusters.append(bench_recovery(max(duration, 2.5)))
 
     codec = bench_codec(reps)

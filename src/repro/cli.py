@@ -33,8 +33,8 @@ or a path to a JSON/YAML spec file (see :mod:`repro.scenarios`);
 ``live`` executes the spec on the asyncio localhost-TCP cluster instead
 of the simulator — including the adversarial and WAN presets, whose
 partitions, loss, latency/bandwidth shaping, crash-restart churn and
-Byzantine omission cartels are injected by :mod:`repro.chaos` (task
-mode; ``--procs`` clusters run clean or shaped links only).
+Byzantine omission cartels are injected by :mod:`repro.chaos`, in task
+mode and under ``--procs`` alike.
 """
 
 from __future__ import annotations

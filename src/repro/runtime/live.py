@@ -17,16 +17,19 @@ worker* — and same-worker replicas deliver over the colocated fast path
 regardless of committee size, which is what makes n=200 live committees
 tractable.
 
-Two deployment shapes:
+Two deployment shapes, one code path (:func:`host_worker`):
 
-* **task mode** (default): all replicas as tasks in one event loop — one
-  worker hosting the whole committee, zero TCP between replicas — the
+* **task mode** (default): the one-worker case — the whole committee in
+  one event loop of this process, zero TCP between replicas — the
   fastest way to get a cluster up, and what the cross-runtime
   equivalence tests use;
 * **``procs`` mode**: replicas are spread over worker subprocesses
   (``python -m repro.runtime.live_worker``), each hosting a slice of the
   committee in its own loop; cross-worker traffic flows over localhost
   TCP through the worker-pair sessions.
+
+Only the process boundary differs: both shapes host their slice through
+:func:`host_worker` and fold the per-worker reports the same way.
 
 Client traffic (see :mod:`repro.clients`): by default a run is driven by
 an **open-loop client swarm** — asyncio client tasks (sharded across the
@@ -50,11 +53,11 @@ compiled from the same spec the simulator consumes (see
 identically on the fast path and the TCP path; timed partitions suppress
 directed links with reference counts, crash timers stop — and restart
 timers recover — the local replica, and Byzantine omission cartels run
-the adversarial aggregators from :mod:`repro.attacks`.  Multi-epoch
+the adversarial aggregators from :mod:`repro.attacks`.  Each driver arms
+its faults against the shared epoch clock, so a ``--procs`` worker needs
+no coordination to inject them for the replicas it hosts.  Multi-epoch
 churn re-provisions the cluster per epoch through the shared
-:func:`repro.scenarios.engine.run_epochs` orchestrator.  The scheduled
-fault driver and churn loop need task mode; ``validate_live_spec``
-rejects those spec fields under ``--procs``.
+:func:`repro.scenarios.engine.run_epochs` orchestrator, in either shape.
 
 Resilience (see :mod:`repro.resilience`): worker-pair links are
 :class:`~repro.resilience.session.PeerSession` objects — sequenced
@@ -73,6 +76,7 @@ committing.  Everything lands in ``RunResult.resilience``.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import logging
 import socket
@@ -100,7 +104,7 @@ from repro.observe.trace import Tracer, seeded_run_id
 from repro.observe.trace import merge_snapshots as merge_trace_snapshots
 from repro.resilience.detector import PhiAccrualDetector
 from repro.resilience.supervisor import RestartPolicy, SupervisedWorker, WorkerSupervisor
-from repro.results import EpochMetrics, RunResult
+from repro.results import RunResult
 from repro.runtime.base import Runtime, TimerHandle
 from repro.runtime.codec import FrameBatch, PreEncoded, WireCodec
 from repro.runtime.fabric import Placement, WorkerFabric
@@ -118,65 +122,12 @@ __all__ = [
     "LiveCluster",
     "LiveNode",
     "LiveRuntime",
+    "host_worker",
     "run_live",
     "serve_window",
-    "validate_live_spec",
 ]
 
 logger = logging.getLogger("repro.runtime.live")
-
-
-#: Capability table behind :func:`validate_live_spec`: each entry is a
-#: spec feature the live runtime cannot execute in the given deployment
-#: shape — ``(spec fields, why, predicate(spec, procs))``.  Everything
-#: not listed here (partitions, loss, WAN latency, bandwidth, Byzantine
-#: cartels, crash/restart churn, membership epochs, stake pools) is
-#: supported since the chaos layer landed; the scheduled fault driver and
-#: the churn loop coordinate in-process, so those features need task mode.
-_LIVE_UNSUPPORTED = (
-    (
-        "faults.partitions",
-        "timed partitions need the in-process fault driver (task mode)",
-        lambda spec, procs: procs > 1 and spec.faults.partitions,
-    ),
-    (
-        "faults.restart_at",
-        "crash-restart churn needs the in-process fault driver (task mode)",
-        lambda spec, procs: procs > 1 and spec.faults.restart_at is not None,
-    ),
-    (
-        "attack.strategy",
-        "Byzantine cartels need the in-process fault driver (task mode)",
-        lambda spec, procs: procs > 1 and spec.attack.strategy != "none",
-    ),
-    (
-        "churn.epochs",
-        "membership churn re-provisions the cluster once per epoch (task mode)",
-        lambda spec, procs: procs > 1 and spec.churn.epochs > 1,
-    ),
-)
-
-
-def validate_live_spec(spec: ScenarioSpec, *, procs: int = 1) -> None:
-    """Capability-based validation of a spec for the live runtime.
-
-    Every built-in preset — partitions, loss, WAN shaping, omission
-    cartels, churn — runs live in task mode; only the capability table's
-    entries are rejected, with an error naming the offending spec fields
-    so the caller knows exactly what to change.
-    """
-    offending = [
-        (fields, why)
-        for fields, why, predicate in _LIVE_UNSUPPORTED
-        if predicate(spec, procs)
-    ]
-    if offending:
-        raise ValueError(
-            "the live runtime does not support these spec fields in this "
-            "deployment shape: "
-            + "; ".join(f"{fields} — {why}" for fields, why in offending)
-            + " (drop --procs to run in task mode, or use the sim runtime)"
-        )
 
 
 class _LiveTimer(TimerHandle):
@@ -746,7 +697,6 @@ async def serve_window(
     target_blocks: Optional[int],
     *,
     cold_start_pids: Sequence[int] = (),
-    client_shard: Optional[Tuple[int, int]] = None,
     incarnation: int = 0,
 ) -> Dict[str, Any]:
     """The shared serve loop: readiness, barrier, start, poll, stop.
@@ -764,13 +714,12 @@ async def serve_window(
     (subprocess mode) is the cross-worker barrier: session establishment
     happens in the pre-barrier window.
 
-    ``client_shard=(offset, step)`` runs shard ``offset::step`` of the
-    spec's open-loop client swarm alongside the nodes (task mode passes
-    ``(0, 1)``; each ``--procs`` worker hosts its own shard).  The swarm
-    dials *workers*, not replicas.  ``None`` — or a spec in
-    preload/replay mode, or a zero rate — runs no swarm.  ``incarnation``
-    namespaces a restarted worker's request ids so they never collide
-    with its dead predecessor's.
+    Worker ``i`` of ``w`` runs shard ``i::w`` of the spec's open-loop
+    client swarm alongside its nodes — every worker a distinct slice,
+    together covering all clients.  The swarm dials *workers*, not
+    replicas.  A spec in preload/replay mode, or a zero rate, runs no
+    swarm.  ``incarnation`` namespaces a restarted worker's request ids
+    so they never collide with its dead predecessor's.
 
     Returns ``{"nodes": [...summaries...], "window": {...}}`` where the
     window record carries the measured ``elapsed``, whether the run was
@@ -783,11 +732,7 @@ async def serve_window(
     res = fabric.resilience
     spec = fabric.compiled.spec
     swarm: Optional[ClientSwarm] = None
-    if (
-        client_shard is not None
-        and not spec.workload.preload
-        and spec.workload.rate > 0
-    ):
+    if not spec.workload.preload and spec.workload.rate > 0:
         workload_seed = (
             spec.workload.seed
             if spec.workload.seed is not None
@@ -802,8 +747,8 @@ async def serve_window(
             seed=workload_seed,
             burst_factor=spec.workload.burst_factor,
             period=spec.workload.arrival_period,
-            shard_offset=client_shard[0],
-            shard_step=client_shard[1],
+            shard_offset=fabric.worker,
+            shard_step=fabric.placement.num_workers,
             incarnation=incarnation,
         )
     ready = await fabric.wait_ready(res.ready_timeout)
@@ -868,14 +813,119 @@ async def serve_window(
     }
 
 
+async def host_worker(
+    compiled: CompiledScenario,
+    placement: Placement,
+    worker: int,
+    ports: Dict[int, int],
+    duration: float,
+    target_blocks: Optional[int],
+    *,
+    epoch: Optional[float] = None,
+    host: str = "127.0.0.1",
+    fast_path: bool = True,
+    cold_start: bool = False,
+    incarnation: int = 0,
+) -> Dict[str, Any]:
+    """Host worker ``worker``'s slice of the committee and serve one window.
+
+    The one worker-hosting path of the live runtime: task mode awaits it
+    in-process as the single worker of ``Placement.round_robin(n, 1)``,
+    and every ``--procs`` worker subprocess awaits it on its decoded
+    payload.  It builds the committee keys, the chaos plan and this
+    worker's :class:`WorkerFabric`, hosts a :class:`LiveNode` per placed
+    pid, binds ``ports[worker]`` (0 picks an ephemeral port) and hands
+    over to :func:`serve_window`.  ``ports`` maps every worker to its
+    port; ``epoch`` is the shared start barrier (``None``: start once
+    ready).  A ``cold_start`` worker — respawned after its previous
+    incarnation died — marks its replicas for catch-up sync.
+    """
+    config = compiled.config
+    committee = Committee(
+        _make_signature_scheme(config), config.committee_size, seed=config.seed
+    )
+    plan = compile_chaos_plan(compiled)
+    fabric = WorkerFabric(worker, placement, compiled, host=host, fast_path=fast_path)
+    pids = placement.pids_of(worker)
+    node_epoch = time.time() if epoch is None else epoch
+    for pid in pids:
+        fabric.add_node(LiveNode(pid, compiled, committee, node_epoch, host=host, plan=plan))
+    ports = {**ports, worker: await fabric.serve(ports[worker])}
+    fabric.set_worker_addresses({w: (host, port) for w, port in ports.items()})
+    return await serve_window(
+        fabric,
+        epoch,
+        duration,
+        target_blocks,
+        cold_start_pids=pids if cold_start else (),
+        incarnation=incarnation,
+    )
+
+
+def _fold_worker_documents(
+    outputs: Iterable[Tuple[Sequence[int], Any]],
+) -> Tuple[List[Dict[str, Any]], Dict[str, Any], List[int]]:
+    """Merge worker reports into ``(node summaries, window, unreadable pids)``.
+
+    Each output pairs the pids a worker hosted with its report: the
+    :func:`host_worker` document itself (task mode) or the JSON text a
+    worker subprocess printed.  A report that does not decode to such a
+    document counts its pids as unreadable.  Node summaries dedup by pid
+    and fabric records by worker, first seen wins (a restarted worker
+    re-reports its slot); swarm shards keep the highest incarnation's
+    numbers (its predecessors' issued requests died with them).
+    """
+    summaries: List[Dict[str, Any]] = []
+    seen: set = set()
+    unreadable: List[int] = []
+    window: Dict[str, Any] = {
+        "elapsed": 0.0,
+        "quiesced": False,
+        "all_ready": True,
+        "fabrics": {},
+        "swarms": {},
+    }
+    for pids, document in outputs:
+        if isinstance(document, str):
+            try:
+                document = json.loads(document)
+            except json.JSONDecodeError:
+                document = None
+        if not (
+            isinstance(document, dict)
+            and isinstance(document.get("nodes"), list)
+            and isinstance(document.get("window"), dict)
+        ):
+            unreadable.extend(pids)
+            continue
+        for summary in document["nodes"]:
+            if summary["pid"] not in seen:
+                seen.add(summary["pid"])
+                summaries.append(summary)
+        record = document["window"]
+        window["elapsed"] = max(window["elapsed"], record["elapsed"])
+        window["quiesced"] = window["quiesced"] or record["quiesced"]
+        window["all_ready"] = window["all_ready"] and record["all_ready"]
+        fabric_record = record["fabric"]
+        window["fabrics"].setdefault(str(fabric_record["worker"]), fabric_record)
+        shard_summary = record["swarm"]
+        if shard_summary is not None:
+            key = tuple(shard_summary["shard"])
+            held = window["swarms"].get(key)
+            if held is None or shard_summary["incarnation"] >= held["incarnation"]:
+                window["swarms"][key] = shard_summary
+    return summaries, window, unreadable
+
+
 @dataclass
 class LiveCluster:
     """A not-yet-started live deployment compiled from a spec.
 
-    ``run()`` brings the committee up (asyncio tasks, or ``procs`` worker
-    subprocesses), lets it serve the preloaded workload until ``duration``
-    wall seconds elapse or a node commits ``target_blocks``, and returns
-    the same :class:`RunResult` schema the sim runtime emits.
+    ``run()`` brings the committee up (in this process, or over ``procs``
+    worker subprocesses) once per churn epoch, lets it serve the workload
+    until ``duration`` wall seconds elapse or a node commits
+    ``target_blocks``, and returns the same :class:`RunResult` schema the
+    sim runtime emits.
     """
 
     spec: ScenarioSpec
@@ -891,123 +941,116 @@ class LiveCluster:
     #: Pass a precompiled scenario to skip recompiling the spec (the
     #: engine's ``build_scenario_deployment(runtime="live")`` does).
     compiled: Optional[CompiledScenario] = None
-    #: Which churn epoch this cluster serves; shifts the config seed the
+    #: The churn epoch :meth:`run_epoch` serves; shifts the config seed the
     #: same way the sim runtime does (see ``compiled_for_epoch``).
+    #: :meth:`run` steps it through every epoch of the spec.
     epoch: int = 0
+    #: Per-node summaries of the last served epoch.
     node_summaries: List[Dict[str, Any]] = field(default_factory=list)
-    #: The last serve window's record (elapsed / quiesced / all_ready).
+    #: The last serve window's record (elapsed / quiesced / all_ready, plus
+    #: per-worker ``fabrics`` and per-shard ``swarms``).
     window_info: Dict[str, Any] = field(default_factory=dict)
-    #: Worker supervision report from the last ``--procs`` run.
+    #: Worker report of the last served epoch: restarts, supervision
+    #: events and the ``failed_pids`` no worker reported for.
     worker_report: Dict[str, Any] = field(default_factory=dict)
     #: Live supervisor handle during a ``--procs`` run (tests kill
     #: workers through it to exercise restart).
     worker_supervisor: Optional[WorkerSupervisor] = None
 
     def __post_init__(self) -> None:
-        validate_live_spec(self.spec, procs=self.procs)
         if self.procs < 1:
             raise ValueError("procs must be >= 1")
-        if self.epoch and self.procs > 1:
-            raise ValueError("multi-epoch clusters run in task mode (procs=1)")
         if self.compiled is None:
             self.compiled = compile_scenario(self.spec)
         elif self.compiled.spec is not self.spec:
             raise ValueError("compiled scenario does not belong to this spec")
-        self.compiled = compiled_for_epoch(self.compiled, self.epoch)
 
     # -- public API --------------------------------------------------------------
     def run(self) -> RunResult:
-        """Serve the spec and return a :class:`RunResult`.
+        """Serve every epoch of the spec and return a :class:`RunResult`.
 
-        A multi-epoch churn spec (unless this cluster was built for one
-        specific ``epoch``) is handed to the :func:`run_live` orchestrator
-        so committee re-selection and reward feedback happen exactly as
-        they would through ``api.run(runtime="live")`` — a deploy-then-run
-        must never silently truncate to epoch 0.
+        Goes through the :func:`~repro.scenarios.engine.run_epochs`
+        orchestrator for every spec, so committee selection, reward
+        feedback and stake drift come out exactly as through
+        ``api.run(runtime="live")``.  Afterwards the cluster holds the
+        last epoch's ``node_summaries`` and ``worker_report``.
         """
-        if self.epoch == 0 and self.spec.churn.epochs > 1:
-            return run_live(
-                self.spec,
-                duration=self.duration,
-                target_blocks=self.target_blocks,
-                procs=self.procs,
-            )
-        started = time.perf_counter()
-        result, _crashed = self.run_epoch()
-        elapsed = time.perf_counter() - started
-        epoch_metrics = EpochMetrics(
-            epoch=self.epoch,
-            committee=tuple(range(self.compiled.config.committee_size)),
-            overlap=1.0,
-            stake_gini=None,
-            result=result,
-        )
-        return RunResult(
-            spec=self.spec,
-            epochs=[epoch_metrics],
-            attackers=self.compiled.attacker_ids,
-            runtime="live",
-            wall_clock_seconds=elapsed,
-        )
+
+        def serve(compiled: CompiledScenario, epoch: int) -> Tuple[ExperimentResult, set]:
+            self.epoch = epoch
+            return self.run_epoch()
+
+        return run_epochs(self.spec, self.compiled, serve, runtime_name="live")
 
     def run_epoch(self) -> Tuple[ExperimentResult, set]:
-        """Bring the committee up, serve the window, summarise.
+        """Bring the committee up for ``epoch``, serve the window, summarise.
 
         Returns the epoch's metrics plus the set of process ids that
         ended the epoch crashed (the ``run_epochs`` orchestrator excludes
-        them from reward feedback, exactly like the sim runtime).
+        them from reward feedback, exactly like the sim runtime).  Raises
+        ``RuntimeError`` when no worker reported at all; replicas of
+        workers that failed alone are salvaged as crashed placeholders.
         """
         maybe_install_uvloop()
-        budget = self.duration if self.duration is not None else self.compiled.epoch_duration
+        compiled = compiled_for_epoch(self.compiled, self.epoch)
+        budget = self.duration if self.duration is not None else compiled.epoch_duration
+        size = compiled.config.committee_size
         if self.procs > 1:
-            summaries = self._run_subprocesses(budget)
+            outputs = self._run_subprocesses(compiled, budget)
         else:
-            summaries = asyncio.run(self._run_tasks(budget))
+            placement = Placement.round_robin(size, 1)
+            self.worker_report = {"restarts": 0, "events": [], "failed_pids": []}
+            document = asyncio.run(
+                host_worker(
+                    compiled,
+                    placement,
+                    0,
+                    {0: 0},
+                    budget,
+                    self.target_blocks,
+                    host=self.host,
+                    fast_path=self.fast_path,
+                )
+            )
+            outputs = [(placement.pids_of(0), document)]
+        summaries, self.window_info, unreadable = _fold_worker_documents(outputs)
+        failed = sorted({*self.worker_report["failed_pids"], *unreadable})
+        self.worker_report["failed_pids"] = failed
+        if not summaries:
+            stderr = next(
+                (e["stderr"] for e in self.worker_report["events"] if e.get("stderr")),
+                "unreadable worker output" if unreadable else "no stderr",
+            )
+            raise RuntimeError(
+                f"every live worker failed (replicas {failed}): {stderr.splitlines()[0]}"
+            )
+        reported = {s["pid"] for s in summaries}
+        summaries.extend(
+            _salvaged_summary(pid, budget) for pid in range(size) if pid not in reported
+        )
         self.node_summaries = sorted(summaries, key=lambda s: s["pid"])
         crashed = {s["pid"] for s in self.node_summaries if s["crashed"]}
         return self._experiment_result(), crashed
 
-    # -- task mode ---------------------------------------------------------------
-    async def _run_tasks(self, budget: float) -> List[Dict[str, Any]]:
-        size = self.compiled.config.committee_size
-        committee = Committee(
-            _make_signature_scheme(self.compiled.config), size, seed=self.compiled.config.seed
-        )
-        plan = compile_chaos_plan(self.compiled)
-        # One worker hosting the whole committee: zero inter-replica TCP
-        # when the fast path is on; with it off, one loopback session to
-        # the fabric's own server carries everything (the parity shape).
-        placement = Placement.round_robin(size, 1)
-        fabric = WorkerFabric(
-            0, placement, self.compiled, host=self.host, fast_path=self.fast_path
-        )
-        for pid in range(size):
-            fabric.add_node(
-                LiveNode(pid, self.compiled, committee, time.time(), host=self.host, plan=plan)
-            )
-        port = await fabric.serve()
-        fabric.set_worker_addresses({0: (self.host, port)})
-        report = await serve_window(
-            fabric, None, budget, self.target_blocks, client_shard=(0, 1)
-        )
-        self.window_info = report["window"]
-        return report["nodes"]
-
     # -- subprocess (--procs) mode -------------------------------------------------
-    def _run_subprocesses(self, budget: float) -> List[Dict[str, Any]]:
+    def _run_subprocesses(
+        self, compiled: CompiledScenario, budget: float
+    ) -> List[Tuple[List[int], str]]:
         # The ports are reserve-and-release probed, so another process can
         # steal one before the worker binds it (a ~1s window behind
         # interpreter startup); on an address-in-use failure the whole
         # round is retried once with freshly probed ports.
         try:
-            return self._spawn_workers_once(budget)
+            return self._spawn_workers_once(compiled, budget)
         except RuntimeError as exc:
             if "address already in use" not in str(exc).lower():
                 raise
-            return self._spawn_workers_once(budget)
+            return self._spawn_workers_once(compiled, budget)
 
-    def _spawn_workers_once(self, budget: float) -> List[Dict[str, Any]]:
-        size = self.compiled.config.committee_size
+    def _spawn_workers_once(
+        self, compiled: CompiledScenario, budget: float
+    ) -> List[Tuple[List[int], str]]:
+        size = compiled.config.committee_size
         procs = min(self.procs, size)
         placement = Placement.round_robin(size, procs)
         # One listening port per *worker*, not per replica: the fabric
@@ -1017,6 +1060,7 @@ class LiveCluster:
         wall_deadline = epoch + budget
         base_config = {
             "spec": self.spec.to_dict(),
+            "churn_epoch": self.epoch,
             "placement": placement.to_payload(),
             "ports": {str(worker): port for worker, port in ports.items()},
             "host": self.host,
@@ -1043,10 +1087,7 @@ class LiveCluster:
                     "epoch": worker_epoch,
                     "duration": worker_budget,
                     "cold_start": cold,
-                    # Worker i hosts client shard i::procs — every worker
-                    # a distinct slice, together covering all clients;
-                    # restart attempts namespace request ids.
-                    "client_shard": [worker, procs],
+                    # Restart attempts namespace the client request ids.
                     "incarnation": attempt,
                 }
             )
@@ -1058,8 +1099,12 @@ class LiveCluster:
                 text=True,
                 env=None,
             )
-            proc.stdin.write(payload)
-            proc.stdin.close()
+            # A worker that dies before reading its payload (an interpreter
+            # that fails to start) breaks the pipe; the supervisor then
+            # sees its exit status like any other death.
+            with contextlib.suppress(BrokenPipeError):
+                proc.stdin.write(payload)
+                proc.stdin.close()
             # communicate() must not try to flush the already-closed pipe.
             proc.stdin = None
             return SupervisedWorker(pids, proc)
@@ -1080,59 +1125,18 @@ class LiveCluster:
             **supervisor.summary(),
             "failed_pids": sorted(pid for group in failed for pid in group),
         }
-        bind_failed = any(
+        if failed and any(
             "address already in use" in event.get("stderr", "").lower()
             for event in supervisor.events
-        )
-        summaries: List[Dict[str, Any]] = []
-        window: Dict[str, Any] = {}
-        seen: set = set()
-        for worker in succeeded:
-            try:
-                document = json.loads(worker.out)
-            except json.JSONDecodeError:
-                continue
-            for summary in document["nodes"]:
-                if summary["pid"] not in seen:
-                    seen.add(summary["pid"])
-                    summaries.append(summary)
-            record = document.get("window", {})
-            window["elapsed"] = max(window.get("elapsed", 0.0), record.get("elapsed", 0.0))
-            window["quiesced"] = window.get("quiesced", False) or record.get("quiesced", False)
-            window["all_ready"] = window.get("all_ready", True) and record.get("all_ready", True)
-            fabric_record = record.get("fabric")
-            if fabric_record is not None:
-                # First-seen wins per worker, consistent with the per-pid
-                # summary dedup (a restarted worker re-reports its slot).
-                fabrics = window.setdefault("fabrics", {})
-                fabrics.setdefault(str(fabric_record.get("worker", 0)), fabric_record)
-            shard_summary = record.get("swarm")
-            if shard_summary is not None:
-                # Dedup by shard: a restarted worker re-reports its
-                # shard, and the highest incarnation's numbers stand
-                # (its predecessors' issued requests died with them).
-                shards = window.setdefault("swarms", {})
-                key = tuple(shard_summary.get("shard", (0, 1)))
-                held = shards.get(key)
-                if held is None or shard_summary.get("incarnation", 0) >= held.get(
-                    "incarnation", 0
-                ):
-                    shards[key] = shard_summary
-        if bind_failed and len(seen) < size:
+        ):
             # A stolen port keeps failing on restart (same port map); let
             # the outer retry re-probe a fresh set instead of salvaging.
             raise RuntimeError("live worker failed: address already in use")
-        for pid in range(size):
-            if pid not in seen:
-                summaries.append(_salvaged_summary(pid, budget))
-        self.window_info = window
-        return summaries
+        return [(worker.pids, worker.out) for worker in succeeded]
 
     # -- result assembly -----------------------------------------------------------
     def _experiment_result(self) -> ExperimentResult:
         summaries = self.node_summaries
-        if not summaries:
-            raise RuntimeError("live run produced no node summaries")
         observer = max(summaries, key=lambda s: s["committed_blocks"])
         # Rates use the *serving* window each node measured (protocol start
         # to stop), not the full wall clock — which also covers server
@@ -1161,17 +1165,17 @@ class LiveCluster:
             # (not buried in the per-worker fabric records): both stay
             # zero on a clean cluster — nonzero means frames addressed a
             # pid no worker hosts, or session resends re-delivered.
-            "frames_unroutable": fabric_report.get("frames_unroutable", 0),
-            "frames_duplicate": fabric_report.get("frames_duplicate", 0),
+            "frames_unroutable": fabric_report["frames_unroutable"],
+            "frames_duplicate": fabric_report["frames_duplicate"],
         }
         resilience = {
             "per_replica": {
                 str(s["pid"]): s["resilience"] for s in summaries if "resilience" in s
             },
             "cluster": {
-                "quiesced": bool(self.window_info.get("quiesced", False)),
-                "all_ready": bool(self.window_info.get("all_ready", True)),
-                "workers": self.worker_report or {"restarts": 0, "events": []},
+                "quiesced": bool(self.window_info["quiesced"]),
+                "all_ready": bool(self.window_info["all_ready"]),
+                "workers": self.worker_report,
                 "fabric": fabric_report,
             },
         }
@@ -1217,13 +1221,8 @@ class LiveCluster:
         out of telemetry: 200 replicas on 4 workers report 12 directed
         sessions where the per-replica fabric held n·(n−1) = 39 800.
         """
-        records: List[Dict[str, Any]] = []
-        if self.window_info.get("fabric") is not None:
-            records.append(self.window_info["fabric"])
-        records.extend((self.window_info.get("fabrics") or {}).values())
+        records = list(self.window_info["fabrics"].values())
         size = self.compiled.config.committee_size
-        if not records:  # every worker salvaged — degenerate, but reportable
-            return {"workers": 0, "naive_pairwise_sessions": size * (size - 1)}
         return {
             "workers": max(r.get("workers", 1) for r in records),
             "fast_path": all(r.get("fast_path", True) for r in records),
@@ -1269,10 +1268,7 @@ class LiveCluster:
             "offered_rate": self.spec.workload.rate,
             "admission": admission,
         }
-        shards = []
-        if self.window_info.get("swarm") is not None:
-            shards.append(self.window_info["swarm"])
-        shards.extend((self.window_info.get("swarms") or {}).values())
+        shards = list(self.window_info["swarms"].values())
         if shards:
             swarm = merge_summaries(shards)
             report["swarm"] = swarm
@@ -1319,18 +1315,6 @@ def run_live(
         spec = spec.quick()
         if target_blocks is None:
             target_blocks = 12
-    validate_live_spec(spec, procs=procs)
-    compiled = compile_scenario(spec)
-
-    def live_epoch(compiled_scenario: CompiledScenario, epoch: int):
-        cluster = LiveCluster(
-            spec=spec,
-            duration=duration,
-            target_blocks=target_blocks,
-            procs=procs,
-            compiled=compiled_scenario,
-            epoch=epoch,
-        )
-        return cluster.run_epoch()
-
-    return run_epochs(spec, compiled, live_epoch, runtime_name="live")
+    return LiveCluster(
+        spec=spec, duration=duration, target_blocks=target_blocks, procs=procs
+    ).run()

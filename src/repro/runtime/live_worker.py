@@ -4,6 +4,7 @@ Reads one JSON config from stdin::
 
     {
       "spec": {...ScenarioSpec.to_dict()...},
+      "churn_epoch": 0,            # churn epoch served (shifts the config seed)
       "worker": 1,                 # this worker's index in the placement
       "placement": [[0, 3], [1, 4], [2, 5]],  # worker -> hosted pids
       "ports": {"0": 51001, ...},  # worker -> port map (one per worker)
@@ -13,20 +14,20 @@ Reads one JSON config from stdin::
       "duration": 3.0,
       "target_blocks": null,
       "cold_start": false,         # true for a supervisor-restarted worker
-      "client_shard": [0, 3],      # open-loop swarm slice offset::step
       "incarnation": 0             # restart generation (namespaces request ids)
     }
 
-hosts its placement slice of the committee behind one
-:class:`~repro.runtime.fabric.WorkerFabric` — a single TCP server and one
-multiplexed session per remote worker, the exact same code path as task
-mode (only the process boundary differs) — and writes
-``{"nodes": [...], "window": {...}}`` to stdout.  A ``cold_start`` worker
-— respawned by the :class:`~repro.resilience.supervisor.WorkerSupervisor`
-after its previous incarnation died — marks its replicas for catch-up
-sync, so they request the committed blocks they missed the moment they
-start.  Spawned by :class:`~repro.runtime.live.LiveCluster`; not intended
-to be run by hand.
+compiles the spec for ``churn_epoch``, hosts its placement slice of the
+committee through :func:`~repro.runtime.live.host_worker` — the exact
+code path task mode awaits in-process (only the process boundary
+differs), chaos faults, Byzantine cartels and client shard ``worker::w``
+included — and writes ``{"nodes": [...], "window": {...}}`` to stdout.
+A ``cold_start`` worker — respawned by the
+:class:`~repro.resilience.supervisor.WorkerSupervisor` after its
+previous incarnation died — marks its replicas for catch-up sync, so
+they request the committed blocks they missed the moment they start.
+Spawned by :class:`~repro.runtime.live.LiveCluster`; not intended to be
+run by hand.
 """
 
 from __future__ import annotations
@@ -35,65 +36,18 @@ import asyncio
 import json
 import logging
 import sys
-from typing import Any, Dict
+from typing import Any
 
-from repro.chaos.plan import compile_chaos_plan
-from repro.crypto.keys import Committee
-from repro.experiments.runner import _make_signature_scheme
 from repro.observe.logging_setup import configure_logging
-from repro.runtime.fabric import Placement, WorkerFabric
-from repro.runtime.live import LiveNode, serve_window
+from repro.runtime.fabric import Placement
+from repro.runtime.live import host_worker
 from repro.runtime.net import maybe_install_uvloop
-from repro.scenarios.engine import compile_scenario
+from repro.scenarios.engine import compile_scenario, compiled_for_epoch
 from repro.scenarios.spec import ScenarioSpec
 
 __all__ = ["run_worker"]
 
 logger = logging.getLogger("repro.runtime.live_worker")
-
-
-async def _run_nodes(config: Dict[str, Any]) -> Dict[str, Any]:
-    spec = ScenarioSpec.from_dict(config["spec"])
-    compiled = compile_scenario(spec)
-    host = config.get("host", "127.0.0.1")
-    epoch = float(config["epoch"])
-    duration = float(config["duration"])
-    target_blocks = config.get("target_blocks")
-    worker = int(config["worker"])
-    placement = Placement.from_payload(config["placement"])
-    ports = {int(w): int(port) for w, port in config["ports"].items()}
-    committee = Committee(
-        _make_signature_scheme(compiled.config),
-        compiled.config.committee_size,
-        seed=compiled.config.seed,
-    )
-    plan = compile_chaos_plan(compiled)
-    fabric = WorkerFabric(
-        worker,
-        placement,
-        compiled,
-        host=host,
-        fast_path=bool(config.get("fast_path", True)),
-    )
-    for pid in placement.pids_of(worker):
-        fabric.add_node(LiveNode(pid, compiled, committee, epoch, host=host, plan=plan))
-    await fabric.serve(port=ports[worker])
-    fabric.set_worker_addresses({w: (host, port) for w, port in ports.items()})
-    # The shared barrier + poll + stop lifecycle (same code path as task
-    # mode); the epoch acts as the cross-worker start barrier.  A restarted
-    # worker's replicas cold-start: they ask the surviving committee for
-    # the committed blocks they missed.
-    cold = bool(config.get("cold_start", False))
-    shard = config.get("client_shard")
-    return await serve_window(
-        fabric,
-        epoch,
-        duration,
-        None if target_blocks is None else int(target_blocks),
-        cold_start_pids=placement.pids_of(worker) if cold else (),
-        client_shard=None if shard is None else (int(shard[0]), int(shard[1])),
-        incarnation=int(config.get("incarnation", 0)),
-    )
 
 
 def run_worker(stdin: Any = None, stdout: Any = None) -> int:
@@ -111,7 +65,26 @@ def run_worker(stdin: Any = None, stdout: Any = None) -> int:
         config.get("incarnation", 0),
         config.get("cold_start", False),
     )
-    report = asyncio.run(_run_nodes(config))
+    compiled = compiled_for_epoch(
+        compile_scenario(ScenarioSpec.from_dict(config["spec"])),
+        int(config["churn_epoch"]),
+    )
+    target_blocks = config.get("target_blocks")
+    report = asyncio.run(
+        host_worker(
+            compiled,
+            Placement.from_payload(config["placement"]),
+            int(config["worker"]),
+            {int(w): int(port) for w, port in config["ports"].items()},
+            float(config["duration"]),
+            None if target_blocks is None else int(target_blocks),
+            epoch=float(config["epoch"]),
+            host=config.get("host", "127.0.0.1"),
+            fast_path=bool(config.get("fast_path", True)),
+            cold_start=bool(config.get("cold_start", False)),
+            incarnation=int(config.get("incarnation", 0)),
+        )
+    )
     json.dump(report, stdout)
     stdout.flush()
     logger.info("worker %s finished", config.get("worker"))

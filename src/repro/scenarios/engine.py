@@ -324,8 +324,8 @@ def run_epochs(
     overlap, reward-to-stake feedback and Gini tracking identically for
     every substrate; ``epoch_runner`` executes one epoch on the sim
     (:func:`run_scenario`) or the live cluster
-    (:func:`repro.runtime.live.run_live`) and reports which replicas
-    ended the epoch crashed (they earn no rewards).
+    (:meth:`repro.runtime.live.LiveCluster.run_epoch`) and reports which
+    replicas ended the epoch crashed (they earn no rewards).
     """
     wall_started = time.perf_counter()
     churn = spec.churn.epochs > 1 or spec.committee.pool_size > spec.committee.size

@@ -141,8 +141,8 @@ def test_fast_path_parity_hashsig():
     common = min(len(fast), len(tcp))
     assert fast[:common] == tcp[:common]
     # Transport telemetry shows the paths actually differed.
-    fast_fabric = fast_cluster.window_info["fabric"]
-    tcp_fabric = tcp_cluster.window_info["fabric"]
+    fast_fabric = fast_cluster.window_info["fabrics"]["0"]
+    tcp_fabric = tcp_cluster.window_info["fabrics"]["0"]
     assert fast_fabric["sessions"] == 0  # one worker, zero TCP links
     assert fast_fabric["fast_path_messages"] > 0
     assert fast_fabric["tcp_messages"] == 0

@@ -1,17 +1,29 @@
 """Live asyncio runtime: cluster smoke tests and schema checks.
 
-These spin up real localhost TCP clusters (task mode, and one subprocess
-worker check), so they are small committees with early stop targets.
+These spin up real localhost TCP clusters (task mode, and a few
+subprocess worker checks), so they are small committees with early stop
+targets.
 """
 
 from __future__ import annotations
+
+import io
+import json
+import sys
 
 import pytest
 
 from repro import api
 from repro.results import RESULT_SCHEMA, RunResult
-from repro.runtime.live import LiveCluster, run_live, validate_live_spec
-from repro.scenarios.presets import load_preset, preset_names
+from repro.runtime import live_worker
+from repro.runtime.live import (
+    LiveCluster,
+    _fold_worker_documents,
+    _salvaged_summary,
+    run_live,
+)
+from repro.scenarios.engine import compile_scenario, compiled_for_epoch
+from repro.scenarios.presets import load_preset
 from repro.scenarios.spec import (
     CommitteeSpec,
     ScenarioSpec,
@@ -115,32 +127,90 @@ def test_api_run_rejects_unknown_runtime():
         api.run(_small_spec(), target_blocks=3)
 
 
-def test_capability_validation_accepts_every_preset_in_task_mode():
-    # Since the chaos layer landed, every built-in preset — partitions,
-    # loss, WAN shaping, omission cartels, churn — validates for the live
-    # runtime in task mode.
-    for name in preset_names():
-        validate_live_spec(load_preset(name))
+def test_every_worker_failing_raises(monkeypatch):
+    # A run where no worker reported must fail loudly, never come back as
+    # a normal result with 0 blocks: every worker "interpreter" exits 1.
+    monkeypatch.setattr("sys.executable", "/bin/false")
+    spec = _small_spec().with_(resilience={"worker_restart_attempts": 0})
+    cluster = LiveCluster(spec=spec, duration=1.0, target_blocks=4, procs=2)
+    failed = r"every live worker failed \(replicas \[0, 1, 2, 3\]\)"
+    with pytest.raises(RuntimeError, match=failed):
+        cluster.run()
 
 
-def test_capability_validation_rejects_fault_driver_under_procs():
-    # Regression for the genuinely unsupported shape: the scheduled fault
-    # driver coordinates in-process, so chaos spec fields are rejected
-    # under worker-subprocess mode — naming the offending fields.
-    with pytest.raises(ValueError, match="faults.partitions"):
-        validate_live_spec(load_preset("partition-heal"), procs=2)
-    with pytest.raises(ValueError, match="attack.strategy"):
-        validate_live_spec(load_preset("omission-cartel"), procs=2)
-    with pytest.raises(ValueError, match="churn.epochs"):
-        validate_live_spec(load_preset("flash-churn"), procs=2)
-    with pytest.raises(ValueError, match="faults.restart_at"):
-        validate_live_spec(
-            load_preset("crash-storm").with_(faults={"restart_at": 3.0}), procs=2
-        )
-    # Clean and shaped-only specs still run under procs.
-    validate_live_spec(load_preset("rack-baseline"), procs=2)
-    validate_live_spec(load_preset("lossy-wan"), procs=2)
-    validate_live_spec(load_preset("crash-storm"), procs=2)
+def test_unreadable_worker_output_counts_as_failed():
+    document = {
+        "nodes": [_salvaged_summary(0, 1.0), _salvaged_summary(2, 1.0)],
+        "window": {
+            "elapsed": 1.0,
+            "quiesced": False,
+            "all_ready": True,
+            "swarm": None,
+            "fabric": {"worker": 0},
+        },
+    }
+    summaries, window, unreadable = _fold_worker_documents(
+        [([0, 2], json.dumps(document)), ([1, 3], "Traceback (most recent call last)")]
+    )
+    assert [s["pid"] for s in summaries] == [0, 2]
+    assert window["elapsed"] == 1.0
+    assert unreadable == [1, 3]
+    # Decodable JSON that is not a worker document is unreadable too.
+    assert _fold_worker_documents([([5], "[]")])[2] == [5]
+
+
+@pytest.mark.slow
+def test_procs_worker_serves_its_churn_epoch(tmp_path, monkeypatch):
+    # A --procs worker serving churn epoch 1 must run the epoch's shifted
+    # config seed (compiled_for_epoch), like task mode does.  The worker
+    # interpreter is wrapped to keep a copy of the payload it was sent;
+    # each payload is then replayed through the worker entry point with
+    # the hosting coroutine stubbed to record the seed it was handed.
+    spec = _small_spec().with_(churn={"epochs": 2})
+    compiled = compile_scenario(spec)
+    expected = compiled_for_epoch(compiled, 1).config.seed
+    assert expected != compiled.config.seed
+    wrapper = tmp_path / "python"
+    wrapper.write_text(
+        f'#!/bin/sh\ntee "{tmp_path}/payload-$$.json" | exec "{sys.executable}" "$@"\n'
+    )
+    wrapper.chmod(0o755)
+    monkeypatch.setattr(sys, "executable", str(wrapper))
+    cluster = LiveCluster(
+        spec=spec, compiled=compiled, duration=15.0, target_blocks=4, procs=2, epoch=1
+    )
+    result, _crashed = cluster.run_epoch()
+    assert result.committed_blocks >= 1
+    assert cluster.worker_report["failed_pids"] == []
+    payloads = sorted(tmp_path.glob("payload-*.json"))
+    assert len(payloads) == 2
+
+    seeds = []
+
+    async def record(compiled, *args, **kwargs):
+        seeds.append(compiled.config.seed)
+        return {}
+
+    monkeypatch.setattr(live_worker, "host_worker", record)
+    for payload in payloads:
+        with payload.open() as stdin:
+            assert live_worker.run_worker(stdin=stdin, stdout=io.StringIO()) == 0
+    assert seeds == [expected, expected]
+
+
+@pytest.mark.slow
+def test_deploy_then_run_reports_the_orchestrated_committee():
+    # A single-epoch pooled spec: the committee is drawn from the stake
+    # pool, so LiveCluster.run() must go through the same epoch
+    # orchestration as run_live and report the drawn committee and the
+    # stake Gini, not a hand-built 0..n-1 committee.
+    spec = load_preset("stake-skew").quick().with_(churn={"epochs": 1})
+    assert spec.committee.pool_size > spec.committee.size
+    deployed = LiveCluster(spec=spec, target_blocks=4, duration=15.0).run()
+    direct = run_live(spec, target_blocks=4, duration=15.0)
+    assert deployed.epochs[0].committee == direct.epochs[0].committee
+    assert deployed.epochs[0].stake_gini is not None
+    assert direct.epochs[0].stake_gini is not None
 
 
 @pytest.mark.slow

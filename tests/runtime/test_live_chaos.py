@@ -128,12 +128,20 @@ def test_deploy_then_run_multi_epoch_spec_runs_all_epochs():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("name", sorted(preset_names()))
-def test_every_builtin_preset_executes_live(name):
-    # The acceptance bar: all nine presets run under runtime="live" and
-    # make progress.  Quick-shrunk specs with tight block targets keep
-    # each preset to a couple of wall seconds (WAN presets are dominated
-    # by their shaped round trips, so their targets are the smallest).
+@pytest.mark.parametrize(
+    "name, procs",
+    [
+        pytest.param(name, procs, id=name if procs == 1 else f"{name}-procs2")
+        for procs in (1, 2)
+        for name in sorted(preset_names())
+    ],
+)
+def test_every_builtin_preset_executes_live(name, procs):
+    # The acceptance bar: every preset runs under runtime="live" and makes
+    # progress, in task mode and spread over two worker subprocesses.
+    # Quick-shrunk specs with tight block targets keep each preset to a
+    # couple of wall seconds (WAN presets are dominated by their shaped
+    # round trips, so their targets are the smallest).
     spec = load_preset(name)
     # Slow links (WAN round trips, thin bandwidth) stretch the 3-chain
     # commit latency, so those presets get a smaller block target and a
@@ -144,7 +152,7 @@ def test_every_builtin_preset_executes_live(name):
     )
     target = 2 if slow else 6
     duration = 6.0 if slow else None
-    result = run_live(spec, quick=True, target_blocks=target, duration=duration)
+    result = run_live(spec, quick=True, target_blocks=target, duration=duration, procs=procs)
     assert result.runtime == "live"
     assert result.metrics.committed_blocks >= 1, name
     document = result.to_dict()

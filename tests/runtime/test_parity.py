@@ -3,7 +3,8 @@
 The acceptance property of the chaos layer: a fixed spec + seed produces
 matching block finalization and inclusion metrics whether the adversity
 is *simulated* (discrete-event network) or *injected* (chaos layer over
-real localhost TCP).  Two presets are pinned:
+real localhost TCP), in task mode and over two ``--procs`` worker
+subprocesses alike.  Two presets are pinned:
 
 * ``omission-cartel`` — the full compared prefix of committed block ids
   must be identical, the attacker coalition is the same draw, and both
@@ -42,8 +43,7 @@ def _sim_run(spec):
     return compiled, deployment
 
 
-@pytest.mark.slow
-def test_omission_cartel_parity():
+def _omission_cartel_parity(procs):
     spec = _deterministic(load_preset("omission-cartel"))
     prefix = 8
 
@@ -51,7 +51,7 @@ def test_omission_cartel_parity():
     sim_order = list(deployment.mempool.committed_order)
     sim_inclusions = deployment.metrics.second_chance_inclusions()
 
-    cluster = LiveCluster(spec=spec, target_blocks=prefix + 2, duration=20.0)
+    cluster = LiveCluster(spec=spec, target_blocks=prefix + 2, duration=20.0, procs=procs)
     cluster.run()
     live_order = cluster.committed_order(0)
 
@@ -74,8 +74,7 @@ def test_omission_cartel_parity():
     assert live_inclusions > 0
 
 
-@pytest.mark.slow
-def test_partition_heal_parity():
+def _partition_heal_parity(procs):
     spec = _deterministic(load_preset("partition-heal"))
     partition = spec.faults.partitions[0]
     prefix = 6
@@ -84,7 +83,7 @@ def test_partition_heal_parity():
     sim_order = list(deployment.mempool.committed_order)
     sim_blocked = deployment.network.counters()["messages_blocked"]
 
-    cluster = LiveCluster(spec=spec, duration=compiled.epoch_duration + 0.4)
+    cluster = LiveCluster(spec=spec, duration=compiled.epoch_duration + 0.4, procs=procs)
     result = cluster.run()
     live_order = cluster.committed_order(0)
     live_blocked = result.metrics.message_counters["messages_blocked"]
@@ -102,3 +101,25 @@ def test_partition_heal_parity():
     # prefix on each.
     assert len(sim_order) > 3 * prefix
     assert len(live_order) > 3 * prefix
+
+
+@pytest.mark.slow
+def test_omission_cartel_parity():
+    _omission_cartel_parity(procs=1)
+
+
+@pytest.mark.slow
+def test_omission_cartel_parity_procs2():
+    # The cartel's corrupted aggregators live in two worker subprocesses.
+    _omission_cartel_parity(procs=2)
+
+
+@pytest.mark.slow
+def test_partition_heal_parity():
+    _partition_heal_parity(procs=1)
+
+
+@pytest.mark.slow
+def test_partition_heal_parity_procs2():
+    # The cut separates replicas hosted by different worker subprocesses.
+    _partition_heal_parity(procs=2)
